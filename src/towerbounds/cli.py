@@ -39,7 +39,7 @@ def _tower_text(spec: tower.TowerSpec) -> str:
         return f"zpd:{spec.d}"
     if spec.kind is tower.TowerKind.TORSION_FIELD:
         return "torsion"
-    return "generic:" + ",".join(str(x) for x in spec.ramified_primes)
+    return f"generic:{spec.d}:" + ",".join(str(x) for x in spec.ramified_primes)
 
 
 def _parse_tower(text: str, p: int, assume_mhg: bool) -> tower.TowerSpec:
@@ -56,7 +56,15 @@ def _parse_tower(text: str, p: int, assume_mhg: bool) -> tower.TowerSpec:
         if arg:
             raise ValueError("torsion tower takes no parameter")
         return tower.TowerSpec.torsion_field(p, assume_mhg=assume_mhg)
-    raise ValueError(f"unknown tower {text!r} (expected zpd:D, falsetate:L or torsion)")
+    if kind == "generic":
+        d_text, sep, ells = arg.partition(":")
+        if not sep:
+            raise ValueError("generic tower needs a dimension and ramified primes, "
+                             "e.g. generic:3:11,13")
+        ramified = [int(x) for x in ells.split(",")] if ells else []
+        return tower.TowerSpec.generic(p, int(d_text), ramified, assume_mhg=assume_mhg)
+    raise ValueError(f"unknown tower {text!r} "
+                     "(expected zpd:D, falsetate:L, torsion or generic:D:L1,L2,...)")
 
 
 def _witness_text(wits: tuple[tuple[int, int], ...]) -> str:
@@ -227,6 +235,9 @@ def validate_report_json(obj: dict) -> None:
         p, f, g = obj["p"], obj["f"], obj["g_inf"]
         if (p - 1) % f or g != ((p - 1) // f) * p ** (obj["m"] - 1):
             raise ValueError("inconsistent splitting data")
+    elif kind == "splitting_finite":
+        if obj["count"] != cyclotomic.splitting_finite(obj["ell"], obj["p"], obj["level"]):
+            raise ValueError("splitting count does not match the level")
     elif kind == "count":
         pc = curve.PointCount(ell=obj["ell"], k=obj["k"], count=obj["count"],
                               trace=obj["trace"])
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_splitting)
 
-    tower_help = "tower kind: zpd:D, falsetate:L or torsion"
+    tower_help = "tower kind: zpd:D, falsetate:L, torsion or generic:D:L1,L2,..."
 
     p = sub.add_parser("qsets", help="ramified-prime counts q1/q2")
     add_curve_arg(p)

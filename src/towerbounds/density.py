@@ -11,9 +11,9 @@ suite checks that identity exactly.  For a curve whose mod-p image is all of
 GL_2(F_p), Chebotarev gives the torsion-scan limit (p^2 - 2)/((p-1)(p^2-1))
 (about 0.163 at p = 7); desk-scale scans land near it.
 
-Counts, hits and fractions are exact integers/rationals; per-prime work uses
-the same quadratic-character sum as curve.count_points, vectorized with
-numpy when available (a pure-Python fallback keeps results identical).
+Counts, hits and fractions are exact integers/rationals; per-prime work is
+curve.frobenius_trace, the certified kernel behind curve.count_points,
+called directly because the scan has already dropped the bad primes.
 Scanned primes are chunked and chunks may be handed to worker threads; the
 merge is by position, so results do not depend on the worker count.
 
@@ -30,13 +30,8 @@ from fractions import Fraction
 
 from . import curve as curve_mod
 from .arith import sieve_primes
-from .curve import WeierstrassCurve, is_good_ordinary
+from .curve import WeierstrassCurve, frobenius_trace, is_good_ordinary
 from .errors import EmptyScan, NotGoodOrdinary
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 _CHUNK = 512
 
@@ -77,39 +72,9 @@ class DensityReport:
         return f"{q // 10**4}.{q % 10**4:04d}"
 
 
-def _trace_sum_python(ell: int, B2: int, B4t: int, B6: int) -> int:
-    # chi-table variant of the character sum in curve.count_points
-    qr = bytearray(ell)
-    for r in range((ell // 2) + 1):
-        qr[r * r % ell] = 1
-    s = 0
-    for x in range(ell):
-        g = (((4 * x + B2) * x + B4t) * x + B6) % ell
-        if g:
-            s += 1 if qr[g] else -1
-    return s
-
-
-def _trace_sum_numpy(ell: int, B2: int, B4t: int, B6: int) -> int:
-    xs = _np.arange(ell, dtype=_np.int64)
-    g = (4 * xs + B2) % ell
-    g = (g * xs + B4t) % ell
-    g = (g * xs + B6) % ell
-    qr = _np.zeros(ell, dtype=_np.int8)
-    qr[(xs * xs) % ell] = 1
-    chi = qr[g].astype(_np.int64) * 2 - 1
-    chi[g == 0] = 0
-    return int(chi.sum())
-
-
 def count_mod(E: WeierstrassCurve, ell: int, p: int) -> int:
-    """#E(F_ell) mod p for a good prime ell >= 5, by the fast character sum."""
-    B2, B4t, B6 = E.b2 % ell, (2 * E.b4) % ell, E.b6 % ell
-    if _np is not None and ell > 64:
-        s = _trace_sum_numpy(ell, B2, B4t, B6)
-    else:
-        s = _trace_sum_python(ell, B2, B4t, B6)
-    return (ell + 1 + s) % p
+    """#E(F_ell) mod p for a good prime ell >= 5, by curve.frobenius_trace."""
+    return (ell + 1 - frobenius_trace(E, ell)) % p
 
 
 def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,

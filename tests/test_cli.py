@@ -5,14 +5,95 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from towerbounds.cli import main, validate_report_json
+from towerbounds.cli import (
+    _parse_tower,
+    _tower_text,
+    build_parser,
+    main,
+    validate_report_json,
+)
+from towerbounds.tower import TowerKind, TowerSpec
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# one call per report kind that --json emits
+JSON_CALLS = {
+    "invariants": ["invariants", "11a2"],
+    "count": ["count", "11a3", "--ell", "7"],
+    "splitting": ["splitting", "--ell", "11", "--p", "7"],
+    "splitting_finite": ["splitting", "--ell", "11", "--p", "7", "--level", "2"],
+    "qsets": ["qsets", "11a2", "--tower", "generic:2:11,13", "--p", "7"],
+    "bounds": ["bounds", "11a2", "--tower", "falsetate:11", "--p", "7", "--lambda0", "0",
+               "--mu0", "0", "--assume-mhg", "--nmax", "2"],
+    "density": ["density", "11a2", "--p", "7", "--limit", "1000", "--mode", "torsion"],
+}
+
+
+class TestJsonReports:
+    @pytest.mark.parametrize("kind", sorted(JSON_CALLS))
+    def test_every_kind_validates(self, capsys, kind):
+        code, out, _ = run_cli(capsys, *JSON_CALLS[kind], "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["kind"] == kind
+        validate_report_json(obj)
+
+    def test_calls_cover_every_json_subcommand(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        with_json = {name for name, p in sub.choices.items()
+                     if any("--json" in a.option_strings for a in p._actions)}
+        assert with_json == {argv[0] for argv in JSON_CALLS.values()}
+
+    def test_splitting_finite_count_checked(self, capsys):
+        _, out, _ = run_cli(capsys, *JSON_CALLS["splitting_finite"], "--json")
+        obj = json.loads(out)
+        obj["count"] += 1
+        with pytest.raises(ValueError):
+            validate_report_json(obj)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def tower_specs(draw):
+    p = draw(st.sampled_from(_PRIMES[2:]))
+    mhg = draw(st.booleans())
+    others = [q for q in _PRIMES if q != p]
+    kind = draw(st.sampled_from(list(TowerKind)))
+    if kind is TowerKind.ZPD_COMPOSITE:
+        return TowerSpec.zpd_composite(p, draw(st.integers(2, 6)), assume_mhg=mhg)
+    if kind is TowerKind.FALSE_TATE:
+        return TowerSpec.false_tate(p, draw(st.sampled_from(others)), assume_mhg=mhg)
+    if kind is TowerKind.TORSION_FIELD:
+        return TowerSpec.torsion_field(p, assume_mhg=mhg)
+    return TowerSpec.generic(p, draw(st.integers(2, 6)),
+                             draw(st.lists(st.sampled_from(others), unique=True, max_size=5)),
+                             assume_mhg=mhg)
+
+
+class TestTowerText:
+    @given(tower_specs())
+    def test_parse_inverts_render(self, spec):
+        assert _parse_tower(_tower_text(spec), spec.p, spec.assume_mhg) == spec
+
+    def test_generic_needs_dimension(self, capsys):
+        code, _, err = run_cli(capsys, "qsets", "11a2", "--tower", "generic:11,13", "--p", "7")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_generic_matches_false_tate(self, capsys):
+        _, generic, _ = run_cli(capsys, "qsets", "11a2", "--tower", "generic:2:11", "--p", "7")
+        _, false_tate, _ = run_cli(capsys, "qsets", "11a2", "--tower", "falsetate:11", "--p", "7")
+        assert generic == false_tate
 
 
 class TestQsets:

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_count_projective
+from helpers import brute_count_projective, trial_division_primes
+from towerbounds import curve as curve_mod
+from towerbounds.arith import is_prime
 from towerbounds.curve import (
+    MESTRE_BOUND,
     ReductionType,
     bad_primes,
     count_points,
     count_points_ext,
     curve_from_ainvs,
+    frobenius_trace,
     has_p_torsion_over,
     is_good_ordinary,
     is_minimal_at,
@@ -18,6 +24,7 @@ from towerbounds.curve import (
 from towerbounds.errors import (
     BadReduction,
     EqualPrimes,
+    LimitTooLarge,
     NonMinimalModel,
     SingularCurve,
     SmallPrime,
@@ -211,3 +218,52 @@ class TestBadPrimes:
         assert bad_primes(corpus["37a1"].curve) == (37,)
         assert bad_primes(corpus["15a1"].curve) == (3, 5)
         assert bad_primes(corpus["389a1"].curve) == (389,)
+
+
+_SMALL_PRIMES = [ell for ell in trial_division_primes(99) if ell >= 5]
+_coeff = st.integers(-50, 50)
+_ainvs = st.tuples(_coeff, _coeff, _coeff, _coeff, _coeff)
+
+
+def _good_curve(ainvs, ell):
+    """The curve with these a-invariants; draws that are singular or have
+    bad reduction at ell are skipped."""
+    try:
+        E = curve_from_ainvs(ainvs)
+    except SingularCurve:
+        assume(False)
+    assume(E.disc % ell != 0)
+    return E
+
+
+class TestFrobeniusTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(_ainvs, st.sampled_from(_SMALL_PRIMES))
+    def test_matches_projective_enumeration(self, ainvs, ell):
+        E = _good_curve(ainvs, ell)
+        assert frobenius_trace(E, ell) == ell + 1 - brute_count_projective(ainvs, ell)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ainvs, st.integers(MESTRE_BOUND + 1, 10**5))
+    def test_certificate_matches_character_sum(self, ainvs, start):
+        ell = next(n for n in range(start, 2 * start) if is_prime(n))
+        E = _good_curve(ainvs, ell)
+        assert frobenius_trace(E, ell) == curve_mod._vectorized_charsum_trace(E, ell)
+
+    def test_certificate_decides_on_bundled_curves(self, corpus, monkeypatch):
+        # Mestre's theorem promises a certificate above 229; none of these
+        # pairs may fall back to the vectorized character sum.
+        def no_fallback(E, ell):
+            raise AssertionError(f"fallback sum reached for {E.label} at {ell}")
+
+        monkeypatch.setattr(curve_mod, "_vectorized_charsum_trace", no_fallback)
+        ells = [ell for ell in trial_division_primes(20_000) if ell > MESTRE_BOUND]
+        for entry in corpus.values():
+            E = entry.curve
+            for ell in ells:
+                if E.disc % ell:
+                    frobenius_trace(E, ell)
+
+    def test_character_sum_refuses_int64_overflow(self, curve_11a2):
+        with pytest.raises(LimitTooLarge):
+            curve_mod._vectorized_charsum_trace(curve_11a2, 3037000507)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import brute_count_projective
 from towerbounds.curve import count_points
 from towerbounds.density import (
     DensityReport,
@@ -23,10 +24,12 @@ class TestCountMod:
                     continue
                 assert count_mod(E, ell, 7) == count_points(E, ell).count % 7
 
-    def test_numpy_and_python_paths_agree(self, curve_11a2):
-        # ell = 67 crosses the vectorization threshold, 61 does not
-        for ell in (61, 67, 101, 997):
-            assert count_mod(curve_11a2, ell, 7) == count_points(curve_11a2, ell).count % 7
+    def test_both_sides_of_mestre_bound(self, curve_11a2):
+        # the character sum decides up to 229, the certificate above it
+        for ell in (223, 227, 229, 233, 239):
+            pc = count_points(curve_11a2, ell)
+            assert pc.count == brute_count_projective(curve_11a2.ainvs, ell)
+            assert count_mod(curve_11a2, ell, 7) == pc.count % 7
 
 
 class TestScans:
