@@ -38,7 +38,6 @@ from .curve import (
     count_points,
     count_points_ext,
     curve_from_ainvs,
-    frobenius_trace,
     has_p_torsion_over,
     is_good_ordinary,
     is_minimal_at,

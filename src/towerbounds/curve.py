@@ -19,9 +19,8 @@ enforced.  Classification below 5 needs Tate's algorithm and is out of scope.
 
 Point counts at ell >= 5 come from one kernel, frobenius_trace: above
 ell = 229 a baby-step giant-step count that carries Mestre's certificate,
-O(ell^(1/4)) group operations per prime, with a numpy-vectorized character
-sum should the certificate stay undecided; at or below 229 a character sum
-in plain Python.
+O(ell^(1/4)) group operations per prime; at or below 229, or should the
+certificate stay undecided, a character sum.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
-import numpy as np
+import numpy  # noqa: F401  -- unused; bench/layers.py times this import
 
 from . import arith
 from .errors import (
     BadReduction,
     EqualPrimes,
     InternalInvariantViolation,
-    LimitTooLarge,
     NonMinimalModel,
     SingularCurve,
     SmallPrime,
@@ -179,8 +177,6 @@ MESTRE_BOUND = 229
 # x-coordinates tried, each giving a point of E or of its twist, before the
 # character sum decides
 _CERTIFICATE_POINTS = 16
-# the vectorized character sum is exact in int64 while ell^2 < 2^63
-_INT64_ELL = isqrt(2**63 - 1)
 
 
 def frobenius_trace(E: WeierstrassCurve, ell: int) -> int:
@@ -194,15 +190,13 @@ def frobenius_trace(E: WeierstrassCurve, ell: int) -> int:
     a multiple of the lcm M' of its points' orders.  A trace is returned
     only when one N in the integer Hasse interval
     [ell + 1 - isqrt(4 ell), ell + 1 + isqrt(4 ell)] has M | N and
-    M' | 2 ell + 2 - N, which proves N = #E.  For ell <= 229 the character
-    sum decides in plain Python, where the whole loop costs less than numpy's
-    per-call overhead; should the certificate stay undecided above 229, the
-    numpy-vectorized sum does.
+    M' | 2 ell + 2 - N, which proves N = #E.  For ell <= 229, or should the
+    certificate stay undecided, the character sum decides.
     """
     if ell <= MESTRE_BOUND:
         return _charsum_trace(E, ell)
     t = _certified_trace(-27 * E.c4 % ell, -54 * E.c6 % ell, ell)
-    return t if t is not None else _vectorized_charsum_trace(E, ell)
+    return t if t is not None else _charsum_trace(E, ell)
 
 
 def _certified_trace(A: int, B: int, ell: int) -> int | None:
@@ -293,18 +287,6 @@ def _charsum_trace(E: WeierstrassCurve, ell: int) -> int:
         roots[r * r % ell] += 1
     B2, B4, B6 = E.b2 % ell, 2 * E.b4 % ell, E.b6 % ell
     return ell - sum(roots[(((4 * x + B2) * x + B4) * x + B6) % ell] for x in range(ell))
-
-
-def _vectorized_charsum_trace(E: WeierstrassCurve, ell: int) -> int:
-    """_charsum_trace with numpy; Theta(ell) time and memory."""
-    if ell > _INT64_ELL:
-        raise LimitTooLarge(f"character sum at {ell} would overflow int64")
-    xs = np.arange(ell, dtype=np.int64)
-    g = (4 * xs + E.b2 % ell) % ell
-    g = (g * xs + 2 * E.b4 % ell) % ell
-    g = (g * xs + E.b6 % ell) % ell
-    roots = np.bincount(xs * xs % ell, minlength=ell)
-    return ell - int(roots[g].sum())
 
 
 def _count_small(E: WeierstrassCurve, ell: int) -> PointCount:

@@ -24,7 +24,6 @@ from towerbounds.curve import (
 from towerbounds.errors import (
     BadReduction,
     EqualPrimes,
-    LimitTooLarge,
     NonMinimalModel,
     SingularCurve,
     SmallPrime,
@@ -248,22 +247,18 @@ class TestFrobeniusTrace:
     def test_certificate_matches_character_sum(self, ainvs, start):
         ell = next(n for n in range(start, 2 * start) if is_prime(n))
         E = _good_curve(ainvs, ell)
-        assert frobenius_trace(E, ell) == curve_mod._vectorized_charsum_trace(E, ell)
+        assert frobenius_trace(E, ell) == curve_mod._charsum_trace(E, ell)
 
     def test_certificate_decides_on_bundled_curves(self, corpus, monkeypatch):
         # Mestre's theorem promises a certificate above 229; none of these
-        # pairs may fall back to the vectorized character sum.
+        # pairs may fall back to the character sum.
         def no_fallback(E, ell):
             raise AssertionError(f"fallback sum reached for {E.label} at {ell}")
 
-        monkeypatch.setattr(curve_mod, "_vectorized_charsum_trace", no_fallback)
+        monkeypatch.setattr(curve_mod, "_charsum_trace", no_fallback)
         ells = [ell for ell in trial_division_primes(20_000) if ell > MESTRE_BOUND]
         for entry in corpus.values():
             E = entry.curve
             for ell in ells:
                 if E.disc % ell:
                     frobenius_trace(E, ell)
-
-    def test_character_sum_refuses_int64_overflow(self, curve_11a2):
-        with pytest.raises(LimitTooLarge):
-            curve_mod._vectorized_charsum_trace(curve_11a2, 3037000507)
