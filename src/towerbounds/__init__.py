@@ -69,7 +69,6 @@ from .tower import (
     TowerSpec,
     compute_qsets,
     cyc_layer_degree,
-    dimension,
     full_layer_degree,
 )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import LimitTooLarge, NotCoprime, ZeroInput
+from .errors import LimitTooLarge, NotCoprime, UncertifiedPrimality, ZeroInput
 
 # Deterministic Miller-Rabin witness set, certified for all n below this
 # bound (Sorenson & Webster).  Desk-scale inputs stay far under it.
@@ -56,9 +56,6 @@ class PrimeRange:
 
     limit: int
     primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> PrimeRange:
@@ -122,7 +119,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.  n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}.  n must be nonzero; a
+    cofactor past MR_CERTIFIED_BOUND raises UncertifiedPrimality."""
     if n == 0:
         raise ZeroInput("cannot factor 0")
     n = abs(n)
@@ -143,6 +141,8 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
+        if m >= MR_CERTIFIED_BOUND:
+            raise UncertifiedPrimality(f"cofactor {m} is past the certified primality bound")
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

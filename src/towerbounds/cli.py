@@ -133,8 +133,6 @@ def _resolve_base(args, entry: catalog.CurveFileEntry | None) -> bounds_mod.Base
     if entry is not None and entry.provenance and (
             args.lambda0 is None or args.mu0 is None or entry.selmer_zero):
         notes.append(entry.provenance)
-    if entry is not None and entry.provenance and not notes:
-        notes.append(entry.provenance)
     return bounds_mod.BaseInvariants(mu0=mu, lambda0=lam, selmer_zero=selmer,
                                      provenance="; ".join(notes) or "command-line input")
 
@@ -480,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("torsion", "qvanish"), required=True)
     p.add_argument("--csv", action="store_true", help="emit per-prime CSV rows")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=_cmd_density)
 
     return top

@@ -213,7 +213,7 @@ def _certified_trace(A: int, B: int, ell: int) -> int | None:
             continue
         side = 1 if pow(f, (ell - 1) // 2, ell) == 1 else -1
         a, m = A * f * f % ell, lcm[side]
-        # lcm(m, ord P) = m * ord(m P)
+        # lcm(m, ord P) = m * ord(m P), or #E on this side itself (see _order)
         Q = _mul(m, (x * f % ell, f * f % ell), a, ell)
         lcm[side] = m * _order(Q, -(-lo // m), hi // m, a, ell)
         # step through the multiples of the larger lcm, on its own side
@@ -226,29 +226,33 @@ def _certified_trace(A: int, B: int, ell: int) -> int | None:
 
 
 def _order(Q, t_lo: int, t_hi: int, a: int, ell: int) -> int:
-    """Exact order of Q given that t Q = O for some t in [t_lo, t_hi]:
-    baby-step giant-step finds such a t, then primes are divided out of it
-    while t Q stays O."""
+    """ord(Q), or else its only multiple in [t_lo, t_hi], given that t Q = O for
+    some t there: one baby-step giant-step sweep, no factoring.  Take baby
+    steps j Q, 0 <= j < m, m * m > t_hi - t_lo.  The least 0 < j <= m with
+    j Q = O, if any, is ord(Q).  Else ord(Q) > m, each giant step t Q (t = t_lo,
+    t_lo + m, ...) meets -j Q for at most one j, and the hits t + j are exactly
+    the multiples of ord(Q) in [t_lo, t_lo + m * m), which holds the range.  Two
+    differ by ord(Q); a lone hit is the only multiple, so for Q = k P, k | #E
+    and the range of #E / k, as _certified_trace passes them, it is #E / k."""
     m = isqrt(t_hi - t_lo) + 1
-    baby: dict = {}
-    R = None
+    baby, R = {}, None
     for j in range(m):
-        baby.setdefault(R, j)
+        baby[R] = j
         R = _add(R, Q, a, ell)
-    G = _mul(t_lo, Q, a, ell)
-    for i in range(m):  # m * m > t_hi - t_lo, so every t in range is reached
+        if R is None:
+            return j + 1
+    G, hit = _mul(t_lo, Q, a, ell), None
+    for t in range(t_lo, t_lo + m * m, m):
         j = baby.get(None if G is None else (G[0], -G[1] % ell))
         if j is not None:
-            t = t_lo + i * m + j
-            break
+            if hit is not None:
+                return t + j - hit
+            hit = t + j
         G = _add(G, R, a, ell)
-    else:
+    if hit is None:
         raise InternalInvariantViolation(
             f"no multiple of a point order in the Hasse interval at {ell}")
-    for q in arith.factorize(t):
-        while t % q == 0 and _mul(t // q, Q, a, ell) is None:
-            t //= q
-    return t
+    return hit
 
 
 def _add(P, Q, a: int, ell: int):

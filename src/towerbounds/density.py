@@ -14,7 +14,8 @@ GL_2(F_p), Chebotarev gives the torsion-scan limit (p^2 - 2)/((p-1)(p^2-1))
 Counts, hits and fractions are exact integers/rationals; per-prime work is
 curve.frobenius_trace, the certified kernel behind curve.count_points,
 called directly because the scan has already dropped the bad primes.
-Scanned primes are chunked and chunks may be handed to worker threads; the
+Chunks of 512 primes go to min(workers, full chunks, os.cpu_count()) worker
+processes, forked where possible, or run serially if that is at most 1; the
 merge is by position, so results do not depend on the worker count.
 
 Scope note: the scan universe is primes 5 <= ell <= X excluding p and the
@@ -24,11 +25,11 @@ out of scope.  At X >= 10^4 this shifts fractions by under 0.1%.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from . import curve as curve_mod
 from .arith import sieve_primes
 from .curve import WeierstrassCurve, frobenius_trace, is_good_ordinary
 from .errors import EmptyScan, NotGoodOrdinary
@@ -64,17 +65,19 @@ class DensityReport:
     @property
     def decimal(self) -> str:
         """The fraction rounded to 4 decimal places (half-even), as text."""
-        scaled = self.fraction * 10**4
-        q, r = divmod(scaled.numerator, scaled.denominator)
-        half = scaled.denominator - 2 * r
-        if half < 0 or (half == 0 and q % 2 == 1):
-            q += 1
+        q = round(self.fraction * 10**4)  # exact, ties to even
         return f"{q // 10**4}.{q % 10**4:04d}"
 
 
 def count_mod(E: WeierstrassCurve, ell: int, p: int) -> int:
     """#E(F_ell) mod p for a good prime ell >= 5, by curve.frobenius_trace."""
     return (ell + 1 - frobenius_trace(E, ell)) % p
+
+
+def _scan_chunk(E: WeierstrassCurve, p: int, mode: str, chunk: list[int]) -> list[ScanRow]:
+    # a torsion hit is p | #E(F_ell), a qvanish hit the opposite
+    nms = [(ell, count_mod(E, ell, p)) for ell in chunk]
+    return [ScanRow(ell, nm, (nm == 0) == (mode == "torsion")) for ell, nm in nms]
 
 
 def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,
@@ -85,27 +88,22 @@ def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not is_good_ordinary(E, p):
         raise NotGoodOrdinary(f"{E.label or E.ainvs} is not good ordinary at {p}")
-    bad = set(curve_mod.bad_primes(E))
     ells = [ell for ell in sieve_primes(limit).primes
-            if ell >= 5 and ell != p and ell not in bad
+            if ell >= 5 and ell != p and E.disc % ell
             and (mode != "qvanish" or ell % p == 1)]
     if not ells:
         raise EmptyScan(f"no eligible primes up to {limit}")
-
-    def run_chunk(chunk: list[int]) -> list[ScanRow]:
-        out = []
-        for ell in chunk:
-            nm = count_mod(E, ell, p)
-            hit = (nm == 0) if mode == "torsion" else (nm != 0)
-            out.append(ScanRow(ell=ell, count_mod_p=nm, hit=hit))
-        return out
-
     chunks = [ells[i:i + _CHUNK] for i in range(0, len(ells), _CHUNK)]
-    if workers == 1 or len(chunks) == 1:
-        results = [run_chunk(c) for c in chunks]
+    procs = min(workers, len(ells) // _CHUNK, os.cpu_count() or 1)
+    if procs <= 1:
+        results = [_scan_chunk(E, p, mode, c) for c in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(procs, ctx) as pool:
+            results = list(pool.map(partial(_scan_chunk, E, p, mode), chunks))
     rows = tuple(r for part in results for r in part)
     return DensityReport(
         label=E.label, p=p, limit=limit, mode=mode,

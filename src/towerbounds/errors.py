@@ -31,6 +31,10 @@ class LimitTooLarge(DomainError):
     """Sieve limit exceeds the configured memory budget."""
 
 
+class UncertifiedPrimality(DomainError):
+    """Factoring left a cofactor at or above arith.MR_CERTIFIED_BOUND."""
+
+
 # --- curves -------------------------------------------------------------
 
 class SingularCurve(DomainError):

@@ -111,11 +111,6 @@ class TowerSpec:
                    assume_mhg=assume_mhg)
 
 
-def dimension(spec: TowerSpec) -> int:
-    """Lie dimension d of the tower."""
-    return spec.d
-
-
 def cyc_layer_degree(spec: TowerSpec, n: int) -> int:
     """[level-n layer : base] over the cyclotomic line: p^((d-1)*n)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:

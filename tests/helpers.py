@@ -73,3 +73,29 @@ def random_unit_series(rng: random.Random, p: int, prec: int, length: int) -> Pa
     coeffs = [rng.choice(units) + p * rng.randint(0, pm // p - 1 if pm > p else 0)]
     coeffs += [rng.randrange(pm) for _ in range(length - 1)]
     return PadicSeries(p=p, prec=prec, coeffs=tuple(c % pm for c in coeffs))
+
+
+def short_affine_points(a: int, b: int, ell: int) -> list[tuple[int, int]]:
+    """Affine points of y^2 = x^3 + a x + b over F_ell, from a table of squares."""
+    roots: dict[int, list[int]] = {}
+    for y in range(ell):
+        roots.setdefault(y * y % ell, []).append(y)
+    return [(x, y) for x in range(ell) for y in roots.get((x**3 + a * x + b) % ell, [])]
+
+
+def brute_point_order(P, a: int, ell: int) -> int:
+    """Order of the affine point P on y^2 = x^3 + a x + b over F_ell, by adding
+    P to itself with the chord-tangent law until the sum is the point at
+    infinity."""
+    x0, y0 = P
+    R, k = P, 1
+    while True:
+        x, y = R
+        if x == x0 and (y + y0) % ell == 0:
+            return k + 1
+        if x == x0:
+            lam = (3 * x * x + a) * pow(2 * y, -1, ell) % ell
+        else:
+            lam = (y - y0) * pow(x - x0, -1, ell) % ell
+        x3 = (lam * lam - x - x0) % ell
+        R, k = (x3, (lam * (x0 - x3) - y0) % ell), k + 1

@@ -13,7 +13,13 @@ from towerbounds.arith import (
     padic_valuation,
     sieve_primes,
 )
-from towerbounds.errors import LimitTooLarge, NotCoprime, ZeroInput
+from towerbounds.errors import (
+    DomainError,
+    LimitTooLarge,
+    NotCoprime,
+    UncertifiedPrimality,
+    ZeroInput,
+)
 
 
 class TestIsPrime:
@@ -135,6 +141,14 @@ class TestFactorize:
 
     def test_negative_input_uses_absolute_value(self):
         assert factorize(-12) == {2: 2, 3: 1}
+
+    def test_cofactor_past_certified_bound(self):
+        m89 = 2**89 - 1  # a Mersenne prime, above the bound
+        assert m89 > MR_CERTIFIED_BOUND
+        assert issubclass(UncertifiedPrimality, DomainError)
+        for n in (m89, -6 * m89):
+            with pytest.raises(UncertifiedPrimality):
+                factorize(n)
 
 
 class TestEulerPhi:

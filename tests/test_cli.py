@@ -96,6 +96,16 @@ class TestTowerText:
         assert generic == false_tate
 
 
+@pytest.fixture
+def big_disc_file(tmp_path):
+    """A user curve whose discriminant has 63 digits and a cofactor past the
+    certified primality bound."""
+    f = tmp_path / "big.jsonl"
+    f.write_text('{"label": "big", "ainvs": [0, 0, 0, %d, %d]}\n' % (10**20 + 3, 10**30 + 7),
+                 encoding="utf-8")
+    return str(f)
+
+
 class TestQsets:
     def test_documented_example(self, capsys):
         code, out, _ = run_cli(capsys, "qsets", "11a2", "--tower", "falsetate:11",
@@ -133,6 +143,12 @@ class TestQsets:
                                "--p", "5")
         assert code == 1
         assert err.startswith("error: NotGoodOrdinary:")
+
+    def test_uncertified_discriminant_is_domain_error(self, capsys, big_disc_file):
+        code, _, err = run_cli(capsys, "qsets", "big", "--curves", big_disc_file,
+                               "--tower", "torsion", "--p", "7")
+        assert code == 1
+        assert err.startswith("error: UncertifiedPrimality:")
 
 
 class TestSplitting:
@@ -328,6 +344,13 @@ class TestDensity:
         lines = out.splitlines()
         assert lines[0] == "ell,count_mod_p,hit"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    def test_large_discriminant(self, capsys, big_disc_file):
+        # the scan tests disc % ell per prime and never factors disc
+        code, out, _ = run_cli(capsys, "density", "big", "--curves", big_disc_file,
+                               "--p", "7", "--limit", "1000", "--mode", "torsion")
+        assert code == 0
+        assert "total=165 hits=30" in out
 
     def test_empty_scan(self, capsys):
         code, _, err = run_cli(capsys, "density", "11a3", "--p", "97",

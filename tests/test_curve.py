@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_count_projective, trial_division_primes
+from helpers import (
+    brute_count_projective,
+    brute_point_order,
+    short_affine_points,
+    trial_division_primes,
+)
 from towerbounds import curve as curve_mod
 from towerbounds.arith import is_prime
 from towerbounds.curve import (
@@ -262,3 +269,59 @@ class TestFrobeniusTrace:
             for ell in ells:
                 if E.disc % ell:
                     frobenius_trace(E, ell)
+
+
+# y^2 = x^3 + x + 1 over F_401 has 432 = 2^4 * 3^3 points, so its point
+# orders fall on both sides of every sweep length below
+_A, _B, _ELL, _N = 1, 1, 401, 432
+
+
+class TestOrderSweep:
+    """Each exit of curve._order against brute-force point orders."""
+
+    @pytest.fixture(scope="class")
+    def orders(self):
+        pts = short_affine_points(_A, _B, _ELL)
+        assert len(pts) + 1 == _N
+        return [(P, brute_point_order(P, _A, _ELL)) for P in pts]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_exit(self, orders, k):
+        # the search range of N / k, as _certified_trace passes it for Q = k P
+        w = isqrt(4 * _ELL)
+        t_lo, t_hi = -(-(_ELL + 1 - w) // k), (_ELL + 1 + w) // k
+        m = isqrt(t_hi - t_lo) + 1
+        exits = set()
+        for Q, r in orders:
+            if (_N // k) % r:
+                continue  # no multiple of ord(Q) is known to lie in range
+            multiples = [t for t in range(t_lo, t_lo + m * m) if t % r == 0]
+            if r <= m:
+                exits.add("repeated baby step")
+                want = r
+            elif len(multiples) >= 2:
+                exits.add("two hits")
+                want = r
+            else:
+                exits.add("one hit")
+                assert multiples == [_N // k]
+                want = _N // k
+            assert curve_mod._order(Q, t_lo, t_hi, _A, _ELL) == want
+        assert exits == {"repeated baby step", "two hits", "one hit"}
+
+
+class TestFallback:
+    def test_character_sum_decides_without_certificate(self, curve_11a2, monkeypatch):
+        ells = (233, 1009, 10007)
+        certified = [frobenius_trace(curve_11a2, ell) for ell in ells]
+        charsum, calls = curve_mod._charsum_trace, []
+
+        def spy(E, ell):
+            calls.append(ell)
+            return charsum(E, ell)
+
+        monkeypatch.setattr(curve_mod, "_CERTIFICATE_POINTS", 0)
+        monkeypatch.setattr(curve_mod, "_charsum_trace", spy)
+        assert [frobenius_trace(curve_11a2, ell) for ell in ells] == certified
+        assert calls == list(ells)
+        assert certified[0] == 234 - brute_count_projective(curve_11a2.ainvs, 233)

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import brute_count_projective
+import towerbounds
 from towerbounds.curve import count_points
 from towerbounds.density import (
     DensityReport,
@@ -90,6 +97,71 @@ class TestScans:
             scan_torsion_density(curve_11a2, 7, 99)
         with pytest.raises(ValueError):
             scan_torsion_density(curve_11a2, 7, 1000, workers=0)
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its arguments and maps in
+    this process, so no worker starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.made.append((max_workers, mp_context))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestPool:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        _RecordingExecutor.made = []
+        return _RecordingExecutor.made
+
+    @pytest.fixture(scope="class")
+    def serial(self, curve_11a2):
+        return scan_torsion_density(curve_11a2, 7, 20000, keep_rows=True)
+
+    # 11a2 at p = 7 has 2,256 eligible primes up to 20,000: four full chunks
+    @pytest.mark.parametrize("cpus, jobs, want", [
+        (2, 10**6, 2), (64, 10**6, 4), (3, 3, 3), (64, 2, 2), (64, 1, None), (None, 8, None),
+    ])
+    def test_pool_size(self, curve_11a2, monkeypatch, made, serial, cpus, jobs, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = scan_torsion_density(curve_11a2, 7, 20000, workers=jobs, keep_rows=True)
+        assert rep == serial
+        assert [n for n, _ in made] == ([] if want is None else [want])
+        assert multiprocessing.active_children() == []
+
+    def test_one_full_chunk_runs_serially(self, curve_11a2, made):
+        rep = scan_torsion_density(curve_11a2, 7, 5000, workers=2)
+        assert rep.total < 2 * 512
+        assert made == []
+
+    def test_workers_are_forked(self, curve_11a2, monkeypatch, made):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scan_torsion_density(curve_11a2, 7, 20000, workers=2)
+        assert [ctx.get_start_method() for _, ctx in made] == ["fork"]
+
+    def test_import_starts_no_pool_machinery(self):
+        # every CLI call pays for what the package imports at load time
+        code = ("import sys; before = set(sys.modules); import towerbounds.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} "
+                "& (set(sys.modules) - before)))")
+        src = str(Path(towerbounds.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "[]"
 
 
 class TestDecimalRendering:

@@ -10,7 +10,6 @@ from towerbounds.tower import (
     TowerSpec,
     compute_qsets,
     cyc_layer_degree,
-    dimension,
     full_layer_degree,
 )
 
@@ -57,7 +56,7 @@ class TestTowerSpec:
 class TestLayerDegrees:
     def test_values(self):
         spec = TowerSpec.false_tate(7, 11)
-        assert dimension(spec) == 2
+        assert spec.d == 2
         assert [cyc_layer_degree(spec, n) for n in range(4)] == [1, 7, 49, 343]
         assert [full_layer_degree(spec, n) for n in range(3)] == [1, 49, 2401]
 
