@@ -95,11 +95,14 @@ def _require_hypothesis(spec: TowerSpec) -> None:
         )
 
 
-def _lambda_window(lambda0: int, q: QSets, spec: TowerSpec, n: int) -> tuple[int, int]:
-    big = cyc_layer_degree(spec, n)                        # p^((d-1)n)
-    small = spec.p ** ((spec.d - 2) * n)                   # p^((d-2)n)
+def _lambda_window(lambda0: int, q: QSets, big: int, small: int) -> tuple[int, int]:
+    # big = p^((d-1)n), small = p^((d-2)n)
     lower = big * lambda0
     return lower, lower + (big - small) * (q.q1 + 2 * q.q2)
+
+
+def _hung_lim(lambda0: int, q: QSets, p3n: int) -> int:
+    return (lambda0 + q.q1) * p3n + 8
 
 
 def mu_growth(base: BaseInvariants, spec: TowerSpec, n: int) -> int:
@@ -112,7 +115,8 @@ def lambda_bounds(base: BaseInvariants, spec: TowerSpec, q: QSets,
                   n: int) -> tuple[int, int]:
     """Two-sided window for lambda at level n.  Conditional on assume_mhg."""
     _require_hypothesis(spec)
-    return _lambda_window(base.lambda0, q, spec, n)
+    return _lambda_window(base.lambda0, q, cyc_layer_degree(spec, n),
+                          spec.p ** ((spec.d - 2) * n))
 
 
 def rank_bound(base: BaseInvariants, spec: TowerSpec, q: QSets, n: int) -> int:
@@ -164,7 +168,7 @@ def hung_lim_bound(base: BaseInvariants, spec: TowerSpec, q: QSets, n: int) -> i
         )
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"level must be an integer >= 0, got {n}")
-    return (base.lambda0 + q.q1) * spec.p ** (3 * n) + 8
+    return _hung_lim(base.lambda0, q, spec.p ** (3 * n))
 
 
 def selmer_zero_propagation(base: BaseInvariants, q: QSets) -> SelmerVerdict:
@@ -225,10 +229,12 @@ def growth_report(E: curve_mod.WeierstrassCurve, spec: TowerSpec,
     verdict = selmer_zero_propagation(base, q)
     if verdict is not SelmerVerdict.ALL_LEVELS_ZERO:
         _require_hypothesis(spec)
+    torsion = spec.kind is TowerKind.TORSION_FIELD
     rows = []
     for n in range(n_max + 1):
-        deg = cyc_layer_degree(spec, n)
-        lo, hi = _lambda_window(base.lambda0, q, spec, n)
+        # each level's p-powers once; a torsion tower has d = 4, so p^(3n) = deg
+        deg = spec.p ** ((spec.d - 1) * n)
+        lo, hi = _lambda_window(base.lambda0, q, deg, spec.p ** ((spec.d - 2) * n))
         row = GrowthRow(
             n=n,
             cyc_degree=deg,
@@ -236,8 +242,7 @@ def growth_report(E: curve_mod.WeierstrassCurve, spec: TowerSpec,
             lambda_lower=lo,
             lambda_upper=hi,
             rank_upper=hi,
-            hung_lim_upper=(hung_lim_bound(base, spec, q, n)
-                            if spec.kind is TowerKind.TORSION_FIELD else None),
+            hung_lim_upper=_hung_lim(base.lambda0, q, deg) if torsion else None,
         )
         row.validate()
         rows.append(row)

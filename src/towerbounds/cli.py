@@ -193,20 +193,16 @@ def validate_report_json(obj: dict) -> None:
     if obj.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {obj.get('schema')!r}")
     kind = obj.get("kind")
-    if kind == "qsets":
+    if kind in ("qsets", "bounds"):
         tower.QSets(
             q1=obj["q1"], q2=obj["q2"],
             witnesses_q1=tuple((ell, c) for ell, c in obj["witnesses_q1"]),
             witnesses_q2=tuple((ell, c) for ell, c in obj["witnesses_q2"]),
         )
+    if kind == "qsets":
         if any(ell == obj["p"] for ell, _ in obj["witnesses_q1"] + obj["witnesses_q2"]):
             raise ValueError("witness prime equals p")
     elif kind == "bounds":
-        tower.QSets(
-            q1=obj["q1"], q2=obj["q2"],
-            witnesses_q1=tuple((ell, c) for ell, c in obj["witnesses_q1"]),
-            witnesses_q2=tuple((ell, c) for ell, c in obj["witnesses_q2"]),
-        )
         base = bounds_mod.BaseInvariants(
             mu0=obj["base"]["mu0"], lambda0=obj["base"]["lambda0"],
             selmer_zero=obj["base"]["selmer_zero"],
@@ -337,17 +333,12 @@ def _cmd_bounds(args) -> int:
     print(f"provenance: {base.provenance}")
     print(f"assume_mhg={'true' if spec.assume_mhg else 'false'}")
     print(f"verdict={report.verdict.value}")
-    header = ["n", "cyc_degree", "mu", "lambda_min", "lambda_max", "rank_max"]
-    torsion = spec.kind is tower.TowerKind.TORSION_FIELD
-    if torsion:
-        header.append("hung_lim")
-    cells = [header]
+    header = ["n", "cyc_degree", "mu", "lambda_min", "lambda_max", "rank_max", "hung_lim"]
+    # growth_report fills hung_lim_upper exactly on torsion towers
+    cells = [header if spec.kind is tower.TowerKind.TORSION_FIELD else header[:-1]]
     for r in report.rows:
-        row = [str(r.n), str(r.cyc_degree), str(r.mu), str(r.lambda_lower),
-               str(r.lambda_upper), str(r.rank_upper)]
-        if torsion:
-            row.append(str(r.hung_lim_upper))
-        cells.append(row)
+        cells.append([str(v) for v in (r.n, r.cyc_degree, r.mu, r.lambda_lower, r.lambda_upper,
+                                       r.rank_upper, r.hung_lim_upper) if v is not None])
     for line in _format_table(cells):
         print(line)
     return 0

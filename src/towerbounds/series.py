@@ -7,6 +7,8 @@ A PadicSeries carries two precision knobs that every operation respects:
 
 No operation reads beyond the declared precision, and preparation raises a
 named error instead of extrapolating when the data cannot decide the answer.
+Products are exact Kronecker products: each operand is packed into one
+integer with slots no product coefficient can overflow, then multiplied once.
 
 Weierstrass preparation: any nonzero f in Z_p[[T]] factors as
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from . import arith
 from .errors import (
     InsufficientCoeffPrecision,
-    InsufficientLength,
     LengthTooShort,
     PrimeMismatch,
 )
@@ -55,12 +56,20 @@ class PadicSeries:
             raise ValueError(f"coefficient precision must be >= 1, got {self.prec}")
         if len(self.coeffs) < 1:
             raise ValueError("a series needs at least one declared coefficient")
-        pm = self.p**self.prec
-        for i, c in enumerate(self.coeffs):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < pm:
-                raise ValueError(
-                    f"coefficient {i} = {c!r} is not a residue in [0, {self.p}^{self.prec})"
-                )
+        # the first coefficient that is no residue (plain nonnegative ints are
+        # checked at C speed); as 2^((bitlen(p) - 1) prec) <= p^prec, p^prec is
+        # built only for a coefficient about as long
+        cs, bad = self.coeffs, len(self.coeffs)
+        if set(map(type, cs)) != {int} or min(cs) < 0:
+            bad = next((i for i, c in enumerate(cs)
+                        if not isinstance(c, int) or isinstance(c, bool) or c < 0), bad)
+        top = max(cs[:bad], default=0)
+        if (top.bit_length() > (self.p.bit_length() - 1) * self.prec
+                and top >= (pm := self.p**self.prec)):
+            bad = next(i for i, c in enumerate(cs) if c >= pm)
+        if bad < len(cs):
+            raise ValueError(f"coefficient {bad} = {cs[bad]!r} is not a residue in "
+                             f"[0, {self.p}^{self.prec})")
 
     @property
     def length(self) -> int:
@@ -143,6 +152,22 @@ def char_element(p: int, mu_list: list[int] | tuple[int, ...],
     return CharacteristicElement(p=p, mu=sum(mu_list), factors=tuple(factors))
 
 
+def _kronecker_product(a, b, n: int) -> list[int]:
+    """First n coefficients of the exact product of two ascending lists of
+    nonnegative ints, by Kronecker substitution (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 8.4): coefficient i fills bytes [i w, (i+1) w).
+    Each coefficient, of an operand or of the product, is at most min(len a,
+    len b) * max a * max b < 2^(8w - 1), so no slot carries into the next."""
+    bound = min(len(a), len(b)) * max(a) * max(b)
+    if bound == 0:  # a zero operand: its slots could not hold the other's
+        return [0] * n
+    w = (bound.bit_length() + 8) // 8
+    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+    y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
+    buf = (x * y).to_bytes((len(a) + len(b) - 1) * w, "little")
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, n * w, w)]
+
+
 def series_multiply(f: PadicSeries, g: PadicSeries) -> PadicSeries:
     """Cauchy product truncated to the shorter length, at the coarser precision."""
     if f.p != g.p:
@@ -150,14 +175,8 @@ def series_multiply(f: PadicSeries, g: PadicSeries) -> PadicSeries:
     prec = min(f.prec, g.prec)
     n = min(f.length, g.length)
     pm = f.p**prec
-    out = [0] * n
-    for i in range(n):
-        ci = f.coeffs[i] % pm
-        if ci == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] = (out[i + j] + ci * g.coeffs[j]) % pm
-    return PadicSeries(p=f.p, prec=prec, coeffs=tuple(out))
+    out = _kronecker_product(f.coeffs[:n], g.coeffs[:n], n)
+    return PadicSeries(p=f.p, prec=prec, coeffs=tuple([c % pm for c in out]))
 
 
 def weierstrass_prepare(f: PadicSeries) -> tuple[IwasawaInvariants, bool]:
@@ -166,11 +185,10 @@ def weierstrass_prepare(f: PadicSeries) -> tuple[IwasawaInvariants, bool]:
     mu is the least coefficient valuation, lambda the first index attaining
     it.  Returns (invariants, unit_checked); unit_checked reports that mu was
     determined strictly below the declared precision and the pivot's unit
-    part is a unit mod p.
+    part is a unit mod p, which holds for every residue of valuation < prec.
 
     Raises InsufficientCoeffPrecision when every declared coefficient is
-    0 mod p^prec (mu >= prec, undetermined), and InsufficientLength when no
-    trustworthy unit pivot exists before the declared length.
+    0 mod p^prec (mu >= prec, undetermined).
     """
     vals = [f.prec if c == 0 else arith.padic_valuation(c, f.p) for c in f.coeffs]
     mu = min(vals)
@@ -178,16 +196,7 @@ def weierstrass_prepare(f: PadicSeries) -> tuple[IwasawaInvariants, bool]:
         raise InsufficientCoeffPrecision(
             f"all {f.length} coefficients vanish mod {f.p}^{f.prec}"
         )
-    pivot = vals.index(mu)
-    unit = (f.coeffs[pivot] // f.p**mu) % f.p
-    if unit == 0:
-        # Unreachable for residues in [0, p^prec): a nonzero residue of
-        # valuation mu < prec always has a unit cofactor.  Kept so the case
-        # analysis is total.
-        raise InsufficientLength(
-            f"no unit pivot before index {f.length}; lambda undetermined"
-        )  # pragma: no cover
-    return IwasawaInvariants(mu=mu, lam=pivot), True
+    return IwasawaInvariants(mu=mu, lam=vals.index(mu)), True
 
 
 def expand_char_element(ce: CharacteristicElement, prec: int, length: int) -> PadicSeries:
@@ -206,20 +215,14 @@ def expand_char_element(ce: CharacteristicElement, prec: int, length: int) -> Pa
         raise LengthTooShort(
             f"length {length} cannot hold a distinguished part of degree {ce.lam}"
         )
-    poly = [1]
-    for fac in ce.factors:
-        acc = [0] * (len(poly) + fac.degree)
-        for i, a in enumerate(poly):
-            if a == 0:
-                continue
-            for j, b in enumerate(fac.coeffs):
-                acc[i + j] += a * b
-        poly = acc
     pm = ce.p**prec
-    scale = ce.p**ce.mu
-    coeffs = [(scale * c) % pm for c in poly]
-    coeffs += [0] * (length - len(coeffs))
-    return PadicSeries(p=ce.p, prec=prec, coeffs=tuple(coeffs[:length]))
+    poly, *rest = [[c % pm for c in fac.coeffs] for fac in ce.factors] or [[1]]
+    for fac in rest:
+        n = min(length, len(poly) + len(fac) - 1)
+        poly = [c % pm for c in _kronecker_product(poly, fac, n)]
+    scale = pow(ce.p, ce.mu, pm)
+    coeffs = [scale * c % pm for c in poly]
+    return PadicSeries(p=ce.p, prec=prec, coeffs=tuple(coeffs + [0] * (length - len(coeffs))))
 
 
 def series_to_text(f: PadicSeries) -> str:

@@ -61,6 +61,16 @@ def brute_multiplicative_order(a: int, m: int) -> int:
     return k
 
 
+def schoolbook_product(a, b, n: int) -> list[int]:
+    """The first n coefficients of the product of two integer coefficient
+    lists (ascending), term by term."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            out[i + j] += x * y
+    return out
+
+
 def random_distinguished(rng: random.Random, p: int, max_degree: int = 3) -> DistinguishedPoly:
     deg = rng.randint(0, max_degree)
     coeffs = tuple(p * rng.randint(0, p) for _ in range(deg)) + (1,)

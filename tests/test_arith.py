@@ -135,6 +135,11 @@ class TestFactorize:
         q1, q2 = 1000003, 1000033
         assert factorize(q1 * q2) == {q1: 1, q2: 1}
 
+    def test_perfect_square_cofactor(self):
+        # 10007 and 10009 lie past trial division, so rho is handed squares
+        assert factorize(10007**2) == {10007: 2}
+        assert factorize(3 * 10007**2 * 10009**2) == {3: 1, 10007: 2, 10009: 2}
+
     def test_rejects_zero(self):
         with pytest.raises(ZeroInput):
             factorize(0)

@@ -319,6 +319,15 @@ class TestWprep:
         code, _, err = run_cli(capsys, "wprep", "--series", "5 2 : 1")
         assert code == 2
 
+    def test_large_declared_precision(self, capsys):
+        # the residue check must not build 5^(10^9)
+        code, out, _ = run_cli(capsys, "wprep", "--series", "5 1000000000 1 : 1")
+        assert code == 0
+        assert out.strip() == "mu=0 lambda=0"
+        code, _, err = run_cli(capsys, "wprep", "--series", "5 1000000000 1 : 0")
+        assert code == 1
+        assert err.startswith("error: InsufficientCoeffPrecision:")
+
 
 class TestDensity:
     def test_plain(self, capsys):

@@ -310,6 +310,18 @@ class TestOrderSweep:
         assert exits == {"repeated baby step", "two hits", "one hit"}
 
 
+class TestCertificateRoots:
+    @pytest.mark.parametrize("ell", [233, 239, 1009])
+    def test_skips_x_with_f_zero(self, ell):
+        # y^2 = x^3 - x has c6 = 0, so the short model's f(0) = 0 and the
+        # certificate must skip x = 0
+        E = make_curve(0, 0, 0, -1, 0)
+        assert -54 * E.c6 % ell == 0
+        assert frobenius_trace(E, ell) == curve_mod._charsum_trace(E, ell)
+        if ell < 300:
+            assert frobenius_trace(E, ell) == ell + 1 - brute_count_projective(E.ainvs, ell)
+
+
 class TestFallback:
     def test_character_sum_decides_without_certificate(self, curve_11a2, monkeypatch):
         ells = (233, 1009, 10007)

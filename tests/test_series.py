@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import random_distinguished, random_unit_series
+from helpers import random_distinguished, random_unit_series, schoolbook_product
 from towerbounds.errors import (
     InsufficientCoeffPrecision,
     LengthTooShort,
@@ -30,6 +32,17 @@ class TestPadicSeries:
             PadicSeries(p=5, prec=2, coeffs=(25,))
         with pytest.raises(ValueError):
             PadicSeries(p=5, prec=2, coeffs=(-1,))
+
+    def test_first_offending_coefficient_named(self):
+        for coeffs, i in (((25, "x"), 0), ((3, True), 1), ((3, -1, 99), 1), ((1, 2, 25), 2)):
+            with pytest.raises(ValueError, match=f"^coefficient {i} = "):
+                PadicSeries(p=5, prec=2, coeffs=coeffs)
+
+    def test_int_subclass_accepted(self):
+        class Residue(int):
+            pass
+
+        assert PadicSeries(p=5, prec=2, coeffs=(Residue(24), 0)).coeffs == (24, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +118,81 @@ class TestSeriesMultiply:
         b = PadicSeries(p=7, prec=2, coeffs=(1,))
         with pytest.raises(PrimeMismatch):
             series_multiply(a, b)
+
+
+# Differential tests: the Kronecker products against the schoolbook oracle.
+
+@st.composite
+def residue_lists(draw, pm, min_size=1, max_size=24):
+    """Residues mod pm in runs: zeros, pm - 1 (the largest slot value) and
+    arbitrary residues."""
+    out = []
+    size = draw(st.integers(min_size, max_size))
+    while len(out) < size:
+        value = draw(st.one_of(st.just(0), st.just(pm - 1), st.integers(0, pm - 1)))
+        out += [value] * draw(st.integers(1, 6))
+    return tuple(out[:size])
+
+
+@st.composite
+def series_pairs(draw, max_size=24):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    f_prec, g_prec = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    f = PadicSeries(p, f_prec, draw(residue_lists(p**f_prec, max_size=max_size)))
+    g = PadicSeries(p, g_prec, draw(residue_lists(p**g_prec, max_size=max_size)))
+    return f, g
+
+
+def _oracle_multiply(f, g):
+    prec = min(f.prec, g.prec)
+    n = min(f.length, g.length)
+    pm = f.p**prec
+    return prec, tuple(c % pm for c in schoolbook_product(f.coeffs, g.coeffs, n))
+
+
+class TestProductAgainstSchoolbook:
+    @given(series_pairs())
+    @example((PadicSeries(5, 3, (7,)), PadicSeries(5, 2, (24, 3))))
+    def test_series_multiply(self, pair):
+        f, g = pair
+        h = series_multiply(f, g)
+        assert (h.prec, h.coeffs) == _oracle_multiply(f, g)
+
+    @given(series_pairs(max_size=1))
+    def test_length_one(self, pair):
+        f, g = pair
+        h = series_multiply(f, g)
+        assert h.length == 1
+        assert (h.prec, h.coeffs) == _oracle_multiply(f, g)
+
+    @given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 40),
+           st.integers(1, 40), st.integers(1, 40))
+    def test_every_coefficient_at_slot_boundary(self, p, prec, n_f, n_g):
+        # every coefficient is p^M - 1, so coefficient n - 1 of the product
+        # is n (p^M - 1)^2, the largest value a slot must hold
+        top = p**prec - 1
+        f, g = PadicSeries(p, prec, (top,) * n_f), PadicSeries(p, prec, (top,) * n_g)
+        assert series_multiply(f, g).coeffs == _oracle_multiply(f, g)[1]
+
+    @given(st.data())
+    def test_expand_char_element(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        # lower coefficients are multiples of p of either sign
+        lowers = st.lists(st.integers(-p**6, p**6).map(lambda k: p * k), max_size=4)
+        factors = [DistinguishedPoly(p, tuple(c) + (1,))
+                   for c in data.draw(st.lists(lowers, max_size=3))]
+        mu_list = data.draw(st.lists(st.integers(1, 3), max_size=2))
+        ce = char_element(p, mu_list, factors)
+        prec = data.draw(st.integers(1, 30))
+        length = data.draw(st.integers(ce.lam + 1, ce.lam + 8))
+        poly = [1]
+        for fac in factors:
+            poly = schoolbook_product(poly, fac.coeffs, len(poly) + fac.degree)
+        pm = p**prec
+        want = [p**ce.mu * c % pm for c in poly[:length]]
+        want += [0] * (length - len(want))
+        f = expand_char_element(ce, prec, length)
+        assert (f.p, f.prec, f.coeffs) == (p, prec, tuple(want))
 
 
 class TestWeierstrassPrepare:

@@ -117,6 +117,14 @@ class TestComputeQSets:
         qs = compute_qsets(curve_37a1, TowerSpec.torsion_field(5))
         assert (qs.q1, qs.q2) == (0, 0)
 
+    def test_ramified_nonsplit_or_additive_prime_counts_nothing(self, curve_37a1):
+        # 37a1 is nonsplit multiplicative at 37, y^2 = x^3 + 5 additive at 5:
+        # a ramified prime of either type enters neither q-set
+        qs = compute_qsets(curve_37a1, TowerSpec.false_tate(5, 37))
+        assert qs == QSets(0, 0)
+        qs = compute_qsets(make_curve(0, 0, 0, 0, 5), TowerSpec.generic(7, 3, [5, 11]))
+        assert qs == QSets(0, 0)
+
     def test_generic_matches_false_tate(self, curve_11a2):
         ft = compute_qsets(curve_11a2, TowerSpec.false_tate(7, 11))
         gn = compute_qsets(curve_11a2, TowerSpec.generic(7, 2, [11]))
