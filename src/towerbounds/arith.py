@@ -16,13 +16,21 @@ from .errors import LimitTooLarge, NotCoprime, UncertifiedPrimality, ZeroInput
 # bound (Sorenson & Webster).  Desk-scale inputs stay far under it.
 MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (bound, bases proving every n < bound); each bound is a strong pseudoprime to
+# its bases, so the comparison must stay strict
+_MR_TIERS = ((3_215_031_751, _MR_BASES[:4]), (341_550_071_728_321, _MR_BASES[:7]),
+             (MR_CERTIFIED_BOUND, _MR_BASES))
 
 #: default sieve memory budget (bytes of sieve array, one per integer)
 SIEVE_BUDGET = 10**8
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for ``n`` < 3.3e24."""
+    """Deterministic primality test for ``n`` < 3.3e24: Miller-Rabin to bases
+    2, 3, 5, 7 below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, Math.
+    Comp. 35, 1980), 2..17 below 341,550,071,728,321 (Jaeschke, Math. Comp. 61,
+    1993) and the primes to 41 below MR_CERTIFIED_BOUND (Sorenson and Webster,
+    Math. Comp. 86, 2017)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -37,7 +45,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in next(bases for bound, bases in _MR_TIERS if n < bound):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

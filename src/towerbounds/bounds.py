@@ -136,10 +136,13 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
     """Exact lambda at level ram.level from exact ramification data.
 
     Validates that every ramification index is a power of p and at most
-    p^level (InvalidRamification otherwise).  Conditional on assume_mhg.
+    p^level (InvalidRamification otherwise).  Conditional on assume_mhg.  A
+    level past DEFAULT_LEVEL_CAP raises ValueError before any power is built.
     """
     _require_hypothesis(spec)
     n = ram.level
+    if n > DEFAULT_LEVEL_CAP:
+        raise ValueError(f"level={n} exceeds level cap {DEFAULT_LEVEL_CAP}")
     cap = spec.p**n
     extra = 0
     for weight, entries, tag in ((1, ram.split_mult, "split_mult"),

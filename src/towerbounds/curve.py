@@ -36,6 +36,7 @@ from .errors import (
     BadReduction,
     EqualPrimes,
     InternalInvariantViolation,
+    LimitTooLarge,
     NonMinimalModel,
     SingularCurve,
     SmallPrime,
@@ -138,6 +139,11 @@ def _check_prime(ell: int) -> None:
 def is_minimal_at(E: WeierstrassCurve, ell: int) -> bool:
     """Sufficient minimality check at ell: v_ell(disc) < 12 or v_ell(c4) < 4."""
     _check_prime(ell)
+    return _is_minimal_at(E, ell)
+
+
+# Private helpers take a prime ell that their public caller has checked.
+def _is_minimal_at(E: WeierstrassCurve, ell: int) -> bool:
     if E.disc % ell:
         return True
     if arith.padic_valuation(E.disc, ell) < 12:
@@ -156,7 +162,12 @@ def reduction_type(E: WeierstrassCurve, ell: int) -> ReductionType:
     _check_prime(ell)
     if ell < 5:
         raise SmallPrime(f"reduction classification needs ell >= 5, got {ell}")
-    if not is_minimal_at(E, ell):
+    return _reduction_type(E, ell)
+
+
+def _reduction_type(E: WeierstrassCurve, ell: int) -> ReductionType:
+    # ell is a prime >= 5
+    if not _is_minimal_at(E, ell):
         raise NonMinimalModel(f"model not checked minimal at {ell}")
     if E.disc % ell:
         return ReductionType.GOOD
@@ -190,8 +201,10 @@ def frobenius_trace(E: WeierstrassCurve, ell: int) -> int:
     a multiple of the lcm M' of its points' orders.  A trace is returned
     only when one N in the integer Hasse interval
     [ell + 1 - isqrt(4 ell), ell + 1 + isqrt(4 ell)] has M | N and
-    M' | 2 ell + 2 - N, which proves N = #E.  For ell <= 229, or should the
-    certificate stay undecided, the character sum decides.
+    M' | 2 ell + 2 - N, which proves N = #E.  Each exact order comes from one
+    x-only +- sweep (_order), about sqrt(8) ell^(1/4) group additions for the
+    first point.  For ell <= 229, or should the certificate stay undecided,
+    the character sum decides.
     """
     if ell <= MESTRE_BOUND:
         return _charsum_trace(E, ell)
@@ -227,28 +240,59 @@ def _certified_trace(A: int, B: int, ell: int) -> int | None:
 
 def _order(Q, t_lo: int, t_hi: int, a: int, ell: int) -> int:
     """ord(Q), or else its only multiple in [t_lo, t_hi], given that t Q = O for
-    some t there: one baby-step giant-step sweep, no factoring.  Take baby
-    steps j Q, 0 <= j < m, m * m > t_hi - t_lo.  The least 0 < j <= m with
-    j Q = O, if any, is ord(Q).  Else ord(Q) > m, each giant step t Q (t = t_lo,
-    t_lo + m, ...) meets -j Q for at most one j, and the hits t + j are exactly
-    the multiples of ord(Q) in [t_lo, t_lo + m * m), which holds the range.  Two
-    differ by ord(Q); a lone hit is the only multiple, so for Q = k P, k | #E
-    and the range of #E / k, as _certified_trace passes them, it is #E / k."""
-    m = isqrt(t_hi - t_lo) + 1
-    baby, R = {}, None
-    for j in range(m):
-        baby[R] = j
-        R = _add(R, Q, a, ell)
-        if R is None:
-            return j + 1
-    G, hit = _mul(t_lo, Q, a, ell), None
-    for t in range(t_lo, t_lo + m * m, m):
-        j = baby.get(None if G is None else (G[0], -G[1] % ell))
-        if j is not None:
+    some t there: one baby-step giant-step sweep with Shanks' +- steps, no
+    factoring (Sutherland, Order Computations in Generic Groups, 2007, ch. 3).
+    Baby steps j Q, 1 <= j <= m + 1, m = isqrt((t_hi - t_lo) // 2) + 1, are keyed
+    by x.  If 2Q = O the order is 1 or 2.  Else the first j whose x is that of
+    an earlier k Q gives ord(Q) = j + k: steps 1..j are affine (i Q = -Q would
+    repeat x(Q) first), so ord(Q) > j, and j Q = k Q would put O at step j - k;
+    so j Q = -k Q, and j + k < 2 ord(Q).  An order r <= 2m + 1 repeats x at steps
+    (r - 1) // 2 and r - (r - 1) // 2, so with no repeat ord(Q) > 2m + 1 and
+    y(j Q) != 0 for j <= m.  Giant steps t Q, t = t_lo + m + i (2m + 1), add
+    S = m Q + (m + 1) Q.  In the window t - m..t + m, t - j (t + j) is a multiple
+    of ord(Q) iff t Q = j Q (-j Q): x finds j, the stored y(j Q) the sign.  A
+    window holds at most one multiple and the windows tile [t_lo, t_hi], so
+    two hits differ by ord(Q); a lone hit is the only multiple, so for Q = k P,
+    k | #E and the range of #E / k, as _certified_trace passes them, it is
+    #E / k."""
+    if Q is None:
+        return 1
+    R = _add(Q, Q, a, ell)
+    if R is None:
+        return 2
+    m = isqrt((t_hi - t_lo) // 2) + 1
+    (x1, y1), (x, y) = Q, R
+    baby, ys, P = {x1: 1}, [0, y1], Q
+    for j in range(2, m + 2):
+        k = baby.get(x)
+        if k is not None:
+            return j + k
+        if j > m:
+            break
+        baby[x], P = j, (x, y)
+        ys.append(y)
+        lam = (y - y1) * pow(x - x1, -1, ell) % ell
+        x = (lam * lam - x - x1) % ell
+        y = (lam * (x1 - x) - y1) % ell
+    S = sx, sy = _add(P, (x, y), a, ell)
+    G, hit = _mul(t_lo + m, Q, a, ell), None
+    for t in range(t_lo + m, t_hi + m + 1, 2 * m + 1):
+        if G is None:
+            n, G = t, S
+        else:
+            gx, gy = G
+            j = baby.get(gx)
+            n = None if j is None else t - j if gy == ys[j] else t + j
+            if gx == sx:
+                G = _add(G, S, a, ell)
+            else:
+                lam = (sy - gy) * pow(sx - gx, -1, ell) % ell
+                x = (lam * lam - gx - sx) % ell
+                G = x, (lam * (gx - x) - gy) % ell
+        if n is not None:
             if hit is not None:
-                return t + j - hit
-            hit = t + j
-        G = _add(G, R, a, ell)
+                return n - hit
+            hit = n
     if hit is None:
         raise InternalInvariantViolation(
             f"no multiple of a point order in the Hasse interval at {ell}")
@@ -317,9 +361,13 @@ def count_points(E: WeierstrassCurve, ell: int) -> PointCount:
     {2, 3} a brute-force enumeration is used.
     """
     _check_prime(ell)
+    return _count_points(E, ell)
+
+
+def _count_points(E: WeierstrassCurve, ell: int) -> PointCount:
     if ell in (2, 3):
         return _count_small(E, ell)
-    if reduction_type(E, ell) is not ReductionType.GOOD:
+    if _reduction_type(E, ell) is not ReductionType.GOOD:
         raise BadReduction(f"{E.label or E.ainvs} has bad reduction at {ell}")
     t = frobenius_trace(E, ell)
     pc = PointCount(ell, 1, ell + 1 - t, t)
@@ -327,15 +375,30 @@ def count_points(E: WeierstrassCurve, ell: int) -> PointCount:
     return pc
 
 
+# Largest k * bitlen(ell) count_points_ext accepts: #E(F_{ell^k}) then has at most
+# 3,011 digits, under CPython's default int-to-str limit of 4,300.
+EXT_BIT_BUDGET = 10_000
+
+
 def count_points_ext(E: WeierstrassCurve, ell: int, k: int) -> PointCount:
     """#E(F_{ell^k}) via the trace recurrence s_0 = 2, s_1 = a_ell,
-    s_j = a_ell*s_{j-1} - ell*s_{j-2}; the count is ell^k + 1 - s_k."""
+    s_j = a_ell*s_{j-1} - ell*s_{j-2}; the count is ell^k + 1 - s_k.
+
+    Raises LimitTooLarge when k * bitlen(ell) exceeds EXT_BIT_BUDGET.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k}")
     base = count_points(E, ell)
+    if k * ell.bit_length() > EXT_BIT_BUDGET:
+        raise LimitTooLarge(f"k * bitlen(ell) = {k * ell.bit_length()} exceeds the "
+                            f"budget {EXT_BIT_BUDGET} for a count over F_{ell}^{k}")
+    return _extend(base, k)
+
+
+def _extend(base: PointCount, k: int) -> PointCount:
     if k == 1:
         return base
-    a = base.trace
+    ell, a = base.ell, base.trace
     s_prev, s_cur = 2, a
     for _ in range(k - 1):
         s_prev, s_cur = s_cur, a * s_cur - ell * s_prev
@@ -349,9 +412,9 @@ def is_good_ordinary(E: WeierstrassCurve, p: int) -> bool:
     _check_prime(p)
     if p < 5:
         raise SmallPrime(f"good-ordinary test needs p >= 5, got {p}")
-    if reduction_type(E, p) is not ReductionType.GOOD:
+    if _reduction_type(E, p) is not ReductionType.GOOD:
         return False
-    return count_points(E, p).trace % p != 0
+    return _count_points(E, p).trace % p != 0
 
 
 def has_p_torsion_over(E: WeierstrassCurve, ell: int, p: int, k: int) -> bool:

@@ -48,12 +48,23 @@ def _check_pair(ell: int, p: int) -> None:
 
 
 def splitting_finite(ell: int, p: int, level: int) -> int:
-    """Number of primes above ell at finite level: phi(p^level)/ord_{p^level}(ell)."""
+    """Number of primes above ell at finite level: phi(p^level)/ord_{p^level}(ell).
+
+    Past the stable level m >= 1 the order is f * p^(level - m), so from level
+    m + 2 on this is splitting_infinite's g, cross-checked at m and m + 1."""
     _check_pair(ell, p)
     if not isinstance(level, int) or isinstance(level, bool) or level < 1:
         raise ValueError(f"level must be a positive integer, got {level}")
-    modulus = p**level
-    return (p - 1) * p ** (level - 1) // arith.multiplicative_order(ell, modulus)
+    if level > 2:
+        data = _splitting_infinite(ell, p)
+        if level > data.stable_level + 1:
+            return data.num_primes
+    return _splitting_finite(ell, p, level)
+
+
+def _splitting_finite(ell: int, p: int, level: int) -> int:
+    # the private helpers take ell and p already checked
+    return (p - 1) * p ** (level - 1) // arith.multiplicative_order(ell, p**level)
 
 
 def splitting_infinite(ell: int, p: int) -> SplittingData:
@@ -63,11 +74,15 @@ def splitting_infinite(ell: int, p: int) -> SplittingData:
     level and the next one; disagreement raises InternalInvariantViolation.
     """
     _check_pair(ell, p)
+    return _splitting_infinite(ell, p)
+
+
+def _splitting_infinite(ell: int, p: int) -> SplittingData:
     f = arith.multiplicative_order(ell, p)
     m = arith.padic_valuation(ell**f - 1, p)
     g = ((p - 1) // f) * p ** (m - 1)
     for level in (m, m + 1):
-        if splitting_finite(ell, p, level) != g:
+        if _splitting_finite(ell, p, level) != g:
             raise InternalInvariantViolation(
                 f"splitting of {ell} in the {p}-tower not stable at level {level}"
             )

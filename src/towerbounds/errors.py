@@ -28,7 +28,7 @@ class ZeroInput(DomainError):
 
 
 class LimitTooLarge(DomainError):
-    """Sieve limit exceeds the configured memory budget."""
+    """An input exceeds a documented size budget (sieve limit, extension count)."""
 
 
 class UncertifiedPrimality(DomainError):

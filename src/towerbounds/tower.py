@@ -157,7 +157,8 @@ def _classify_at(E: curve.WeierstrassCurve, ell: int, p: int) -> tuple[int, int]
     """(split-multiplicative count, good-with-torsion count) contributed by ell.
 
     Counts are numbers of primes above ell on the cyclotomic line.  A bad
-    prime below 5 cannot be classified (SmallBadPrime).
+    prime below 5 cannot be classified (SmallBadPrime).  TowerSpec has proved
+    ell and p prime and ell != p, so the unchecked helpers are called.
     """
     if ell < 5:
         if E.disc % ell == 0:
@@ -166,13 +167,14 @@ def _classify_at(E: curve.WeierstrassCurve, ell: int, p: int) -> tuple[int, int]
             )
         rt = curve.ReductionType.GOOD
     else:
-        rt = curve.reduction_type(E, ell)
+        rt = curve._reduction_type(E, ell)
     if rt is curve.ReductionType.SPLIT_MULTIPLICATIVE:
-        g = cyclotomic.splitting_infinite(ell, p).num_primes
+        g = cyclotomic._splitting_infinite(ell, p).num_primes
         return g, 0
     if rt is curve.ReductionType.GOOD:
-        data = cyclotomic.splitting_infinite(ell, p)
-        if curve.has_p_torsion_over(E, ell, p, data.residue_order):
+        data = cyclotomic._splitting_infinite(ell, p)
+        count = curve._extend(curve._count_points(E, ell), data.residue_order).count
+        if count % p == 0:
             return 0, data.num_primes
         return 0, 0
     return 0, 0

@@ -109,3 +109,21 @@ def brute_point_order(P, a: int, ell: int) -> int:
             lam = (y - y0) * pow(x - x0, -1, ell) % ell
         x3 = (lam * lam - x - x0) % ell
         R, k = (x3, (lam * (x0 - x3) - y0) % ell), k + 1
+
+
+def strong_probable_prime_all_bases(n: int) -> bool:
+    """Miller-Rabin to every prime base up to 41, with trial division by those
+    bases first: a proof of primality for n < 3,317,044,064,679,887,385,961,981."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(s)):
+            return False
+    return True

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_multiplicative_order, trial_division_primes
+from helpers import (
+    brute_multiplicative_order,
+    strong_probable_prime_all_bases,
+    trial_division_primes,
+)
 from towerbounds.arith import (
     MR_CERTIFIED_BOUND,
     euler_phi,
@@ -48,6 +54,30 @@ class TestIsPrime:
 
     def test_just_under_certified_bound(self):
         assert not is_prime(MR_CERTIFIED_BOUND - 1)  # even
+
+    # bounds of the base tiers: each is a strong pseudoprime to the smaller set
+    TIER_BOUNDS = (3_215_031_751, 341_550_071_728_321)
+
+    def test_tier_bounds_are_composite(self):
+        assert 3_215_031_751 == 151 * 751 * 28351
+        assert not is_prime(341_550_071_728_321)
+        assert 341_550_071_728_321 % 10_670_053 == 0
+
+    def test_primes_next_to_tier_bounds(self):
+        for below, bound, above in ((3_215_031_749, 3_215_031_751, 3_215_031_767),
+                                    (341_550_071_728_289, 341_550_071_728_321,
+                                     341_550_071_728_361)):
+            assert is_prime(below) and is_prime(above)
+            assert [n for n in range(below, above + 1) if is_prime(n)] == [below, above]
+            assert strong_probable_prime_all_bases(below)
+            assert strong_probable_prime_all_bases(above)
+            assert below < bound < above
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(TIER_BOUNDS), st.integers(-10**6, 10**6))
+    def test_tiers_agree_with_all_bases(self, bound, offset):
+        n = (bound + offset) | 1
+        assert is_prime(n) == strong_probable_prime_all_bases(n)
 
 
 class TestSievePrimes:

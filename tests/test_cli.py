@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import brute_multiplicative_order
 from towerbounds.cli import (
     _parse_tower,
     _tower_text,
@@ -174,6 +175,29 @@ class TestSplitting:
         assert code == 1
         assert "EqualPrimes" in err
 
+    # (ell, p, f, m, g): 7^4 - 1 = 2400 = 5^2 * 96 gives m = 2
+    STABLE = ((11, 7, 3, 1, 2), (7, 5, 4, 2, 5), (2, 7, 3, 1, 2))
+
+    @pytest.mark.parametrize("ell,p,f,m,g", STABLE)
+    def test_levels_up_to_stable_plus_one(self, capsys, ell, p, f, m, g):
+        _, out, _ = run_cli(capsys, "splitting", "--ell", str(ell), "--p", str(p))
+        assert out.strip() == f"ell={ell} p={p} f={f} m={m} g_inf={g}"
+        for level in range(1, m + 4):
+            code, out, _ = run_cli(capsys, "splitting", "--ell", str(ell), "--p", str(p),
+                                   "--level", str(level))
+            want = (p - 1) * p ** (level - 1) // brute_multiplicative_order(ell, p**level)
+            assert code == 0
+            assert out.strip() == f"ell={ell} p={p} level={level} count={want}"
+
+    @pytest.mark.parametrize("ell,p,f,m,g", STABLE)
+    def test_high_level_answers_with_stable_count(self, capsys, ell, p, f, m, g):
+        # ord_{p^n}(ell) = f p^(n - m) above m; the direct order would work
+        # modulo p^100000, a number of tens of thousands of digits
+        code, out, _ = run_cli(capsys, "splitting", "--ell", str(ell), "--p", str(p),
+                               "--level", "100000")
+        assert code == 0
+        assert out.strip() == f"ell={ell} p={p} level=100000 count={g}"
+
 
 class TestCount:
     def test_plain(self, capsys):
@@ -195,6 +219,22 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "11a3", "--ell", "11")
         assert code == 1
         assert "BadReduction" in err
+
+    def test_extension_past_bit_budget(self, capsys):
+        # 100000 * bitlen(13) bits; the count would pass the int-to-str limit
+        code, out, err = run_cli(capsys, "count", "11a1", "--ell", "13", "--ext", "100000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: LimitTooLarge:")
+
+    def test_extension_at_bit_budget(self, capsys):
+        # 2500 * bitlen(13) = 10,000 bits is the largest accepted
+        code, out, _ = run_cli(capsys, "count", "11a1", "--ell", "13", "--ext", "2500")
+        assert code == 0
+        assert out.startswith("ell=13 k=2500 count=")
+        code, _, err = run_cli(capsys, "count", "11a1", "--ell", "13", "--ext", "2501")
+        assert code == 1
+        assert "LimitTooLarge" in err
 
 
 class TestReductionAndInvariants:
@@ -288,6 +328,20 @@ class TestKida:
                                "--assume-mhg", "--ram", "P2:5^1")
         assert code == 0
         assert out.strip() == "level=1 lambda=13"
+
+    def test_level_cap(self, capsys):
+        # the same check, error type and exit code as bounds --nmax
+        code, out, err = run_cli(capsys, "kida", "--tower", "falsetate:11",
+                                 "--p", "7", "--n", "1000000000", "--lambda0", "0",
+                                 "--assume-mhg", "--ram", "P1:7^1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "usage error: level=1000000000 exceeds level cap 12"
+        code, _, err = run_cli(capsys, "bounds", "11a2", "--tower", "falsetate:11",
+                               "--p", "7", "--lambda0", "0", "--mu0", "0",
+                               "--assume-mhg", "--nmax", "13")
+        assert code == 2
+        assert "exceeds level cap 12" in err
 
     def test_invalid_ramification(self, capsys):
         code, _, err = run_cli(capsys, "kida", "--tower", "falsetate:11",

@@ -309,6 +309,38 @@ class TestOrderSweep:
             assert curve_mod._order(Q, t_lo, t_hi, _A, _ELL) == want
         assert exits == {"repeated baby step", "two hits", "one hit"}
 
+    def test_plus_minus_exits(self, orders):
+        # _order's +- sweep: baby steps 1..m + 1 keyed by x, then windows
+        # t - m..t + m centred at t = t_lo + m + i (2m + 1)
+        exits = set()
+        for k in (1, 2, 3, 6):
+            w = isqrt(4 * _ELL)
+            t_lo, t_hi = -(-(_ELL + 1 - w) // k), (_ELL + 1 + w) // k
+            m = isqrt((t_hi - t_lo) // 2) + 1
+            step = 2 * m + 1
+            end = t_lo + ((t_hi - t_lo) // step + 1) * step
+            for Q, r in orders:
+                if (_N // k) % r:
+                    continue
+                if r == 2:
+                    exits.add("y(Q) = 0")
+                    want = r
+                elif r <= step:
+                    # r = j + k for the first x repeat; y(r/2 Q) = 0 when r is even
+                    exits.add("y(jQ) = 0" if r % 2 == 0 else "x collision")
+                    want = r
+                else:
+                    hits = [n for n in range(t_lo, end) if n % r == 0][:2]
+                    for n in hits:
+                        t = n - (n - t_lo) % step + m
+                        exits.add("t - j" if n < t else "t + j" if n > t else "G = O")
+                    exits.add("two hits" if len(hits) == 2 else "lone hit")
+                    want = r if len(hits) == 2 else _N // k
+                assert curve_mod._order(Q, t_lo, t_hi, _A, _ELL) == want, (Q, k)
+        assert exits == {"y(Q) = 0", "y(jQ) = 0", "x collision", "t - j", "t + j",
+                         "G = O", "two hits", "lone hit"}
+        assert curve_mod._order(None, 390, 410, _A, _ELL) == 1
+
 
 class TestCertificateRoots:
     @pytest.mark.parametrize("ell", [233, 239, 1009])
@@ -337,3 +369,75 @@ class TestFallback:
         assert [frobenius_trace(curve_11a2, ell) for ell in ells] == certified
         assert calls == list(ells)
         assert certified[0] == 234 - brute_count_projective(curve_11a2.ainvs, 233)
+
+
+def _prime_from(n: int, residue_mod_3: int | None = None) -> int:
+    """The least prime >= n, in the given class mod 3 if one is named."""
+    while not is_prime(n) or (residue_mod_3 is not None and n % 3 != residue_mod_3):
+        n += 1
+    return n
+
+
+# one prime near each of 10^13, 10^14, 10^15, each = 2 mod 3
+_LARGE_PRIMES = (10_000_000_000_037, 100_000_000_000_031, 1_000_000_000_000_037)
+_large_ell = st.integers(10**6, 10**12).map(_prime_from)
+
+
+def _twist(E, d: int):
+    """The quadratic twist by d, on the short model y^2 = x^3 - 27 c4 d^2 x - 54 c6 d^3."""
+    return make_curve(0, 0, 0, -27 * E.c4 * d * d, -54 * E.c6 * d**3)
+
+
+class TestKernelIdentities:
+    """Identities that need no oracle, at ell far past the tier-1 oracles
+    (Silverman, The Arithmetic of Elliptic Curves, V.2 and X.2)."""
+
+    def check_isogeny_class(self, corpus, ell):
+        traces = {count_points(corpus[label].curve, ell).trace
+                  for label in ("11a1", "11a2", "11a3")}
+        assert len(traces) == 1, (ell, traces)
+
+    def check_twist(self, E, d, ell):
+        chi = 1 if pow(d % ell, (ell - 1) // 2, ell) == 1 else -1
+        assert count_points(_twist(E, d), ell).trace == chi * count_points(E, ell).trace
+
+    def check_cm(self, corpus, ell):
+        assert ell % 3 == 2
+        assert count_points(corpus["cm432"].curve, ell).trace == 0
+
+    def check_quadratic_extension(self, E, ell):
+        a = count_points(E, ell).trace
+        assert count_points_ext(E, ell, 2).count == (ell + 1) ** 2 - a * a
+
+    @settings(max_examples=25, deadline=None)
+    @given(_large_ell)
+    def test_isogenous_curves_share_traces(self, corpus, ell):
+        self.check_isogeny_class(corpus, ell)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["11a1", "15a1", "37a1", "389a1", "5077a1", "cm432"]),
+           st.sampled_from([-1, 2, -3, 5, -6, 7]), _large_ell)
+    def test_twist_flips_trace_by_legendre_symbol(self, corpus, label, d, ell):
+        self.check_twist(corpus[label].curve, d, ell)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(10**6, 10**12))
+    def test_cm_curve_supersingular_at_2_mod_3(self, corpus, n):
+        self.check_cm(corpus, _prime_from(n, 2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["11a3", "37a1", "389a1", "cm432"]), _large_ell)
+    def test_quadratic_extension_count(self, corpus, label, ell):
+        self.check_quadratic_extension(corpus[label].curve, ell)
+
+    @pytest.mark.parametrize("ell", _LARGE_PRIMES)
+    def test_identities_near_10_to_15(self, corpus, ell):
+        self.check_isogeny_class(corpus, ell)
+        self.check_twist(corpus["37a1"].curve, -3, ell)
+        self.check_quadratic_extension(corpus["389a1"].curve, ell)
+
+    def test_cm_curve_near_10_to_13(self, corpus):
+        # cm432's first certificate point has order 3 here, and the
+        # certificate then walks the Hasse interval, 4 sqrt(ell) wide, in
+        # steps of 3; that grows like sqrt(ell), so this check stops at 10^13
+        self.check_cm(corpus, _LARGE_PRIMES[0])
