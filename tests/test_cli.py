@@ -16,6 +16,7 @@ from towerbounds.cli import (
     main,
     validate_report_json,
 )
+from towerbounds.errors import DomainError
 from towerbounds.tower import TowerKind, TowerSpec
 
 
@@ -35,6 +36,54 @@ JSON_CALLS = {
     "bounds": ["bounds", "11a2", "--tower", "falsetate:11", "--p", "7", "--lambda0", "0",
                "--mu0", "0", "--assume-mhg", "--nmax", "2"],
     "density": ["density", "11a2", "--p", "7", "--limit", "1000", "--mode", "torsion"],
+}
+
+# reports for the tamper tests: every kind above, plus a torsion-tower report
+# (it has a comparison column) and one with an all_levels_zero verdict
+TAMPER_CALLS = {
+    **JSON_CALLS,
+    "bounds_torsion": ["bounds", "11a2", "--tower", "torsion", "--p", "7", "--lambda0", "1",
+                       "--mu0", "0", "--assume-mhg", "--nmax", "2"],
+    "bounds_zero": ["bounds", "37a1", "--tower", "zpd:2", "--p", "5", "--selmer-zero",
+                    "--nmax", "3"],
+}
+
+
+def _row(i, **changes):
+    def tamper(obj):
+        row = obj["rows"][i]
+        for key, delta in changes.items():
+            row[key] += delta
+    return tamper
+
+
+# name -> (report from TAMPER_CALLS, in-place change that makes it false)
+TAMPERS = {
+    "unknown_schema": ("count", lambda o: o.update(schema=2)),
+    "unknown_kind": ("count", lambda o: o.update(kind="nope")),
+    "witness_prime_equals_p": ("qsets", lambda o: o.update(witnesses_q1=[[7, 2]])),
+    "wrong_layer_degree": ("bounds", _row(1, cyc_degree=1)),
+    "wrong_mu": ("bounds", _row(1, mu=1)),
+    "inconsistent_lambda_rank": ("bounds", _row(1, rank_upper=1)),
+    "all_levels_zero_with_nonzero_rows": ("bounds_zero",
+                                          _row(1, lambda_upper=1, rank_upper=1)),
+    "hits_out_of_range": ("density", lambda o: o.update(hits=o["total"] + 1)),
+    "wrong_fraction": ("density",
+                       lambda o: o.update(fraction=f"{o['hits'] + 1}/{o['total']}")),
+    "inconsistent_splitting": ("splitting", lambda o: o.update(g_inf=o["g_inf"] + 1)),
+    "wrong_finite_count": ("splitting_finite", lambda o: o.update(count=o["count"] + 1)),
+    "count_trace_mismatch": ("count", lambda o: o.update(count=o["count"] + 1)),
+    # fields that only a rebuild from the inputs checks
+    "invariants_b2": ("invariants", lambda o: o.update(b2=o["b2"] + 1)),
+    "invariants_disc": ("invariants", lambda o: o.update(disc=o["disc"] + 1)),
+    "splitting_ell": ("splitting", lambda o: o.update(ell=13)),
+    "qsets_d": ("qsets", lambda o: o.update(d=3)),
+    "qsets_tower": ("qsets", lambda o: o.update(tower="torsion")),
+    "qsets_tower_unparsable": ("qsets", lambda o: o.update(tower="weird:3")),
+    "bounds_assume_mhg": ("bounds", lambda o: o.update(assume_mhg=False)),
+    "bounds_lambda_lower": ("bounds", _row(1, lambda_lower=1)),
+    "bounds_hung_lim_upper": ("bounds_torsion", _row(1, hung_lim_upper=1)),
+    "density_decimal": ("density", lambda o: o.update(decimal="0.0001")),
 }
 
 
@@ -58,6 +107,17 @@ class TestJsonReports:
         obj = json.loads(out)
         obj["count"] += 1
         with pytest.raises(ValueError):
+            validate_report_json(obj)
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_tampered_report_refused(self, capsys, name):
+        call, tamper = TAMPERS[name]
+        code, out, _ = run_cli(capsys, *TAMPER_CALLS[call], "--json")
+        assert code == 0
+        obj = json.loads(out)
+        validate_report_json(obj)
+        tamper(obj)
+        with pytest.raises((ValueError, DomainError)):
             validate_report_json(obj)
 
 
@@ -306,6 +366,16 @@ class TestBounds:
         obj = json.loads(out)
         assert obj["base"]["mu0"] == 0
 
+    def test_error_leaves_no_partial_report(self, capsys):
+        # level 8 and up of zpd:2000 pass the int-to-str limit; nothing is
+        # written before the whole report has rendered
+        code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:2000",
+                                 "--p", "7", "--nmax", "12", "--lambda0", "0",
+                                 "--mu0", "0", "--assume-mhg")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_missing_base_data(self, capsys):
         # 11a3 carries no base invariants; flags are required
         code, _, err = run_cli(capsys, "bounds", "11a3", "--tower", "zpd:2",
@@ -440,6 +510,16 @@ class TestCurveFileOption:
                                "--ell", "7")
         assert code == 1
         assert "UnknownCurveKey" in err
+
+
+class TestImportCost:
+    def test_package_import_skips_cli_and_report(self):
+        code = ("import sys, towerbounds; "
+                "print(sorted(m for m in ('towerbounds.cli', 'towerbounds.report') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestByteStability:
