@@ -214,21 +214,32 @@ class GrowthBoundReport:
     rows: tuple[GrowthRow, ...]
 
 
-def growth_report(E: curve_mod.WeierstrassCurve, spec: TowerSpec,
-                  base: BaseInvariants, n_max: int,
-                  level_cap: int = DEFAULT_LEVEL_CAP) -> GrowthBoundReport:
-    """Assemble rows for n = 0..n_max.
-
-    The q-sets are computed from the curve; rows use the conditional
-    formulas, except that an unconditional ALL_LEVELS_ZERO verdict (zero base
-    data, empty q-sets) needs no declared hypothesis.  n_max is capped at
-    ``level_cap`` (default 12) to keep degrees desk-scale.
-    """
+def _check_n_max(n_max: int) -> None:
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
-    if n_max > level_cap:
-        raise ValueError(f"n_max={n_max} exceeds level cap {level_cap}")
-    q = compute_qsets(E, spec)
+    if n_max > DEFAULT_LEVEL_CAP:
+        raise ValueError(f"n_max={n_max} exceeds level cap {DEFAULT_LEVEL_CAP}")
+
+
+def growth_report(E: curve_mod.WeierstrassCurve, spec: TowerSpec,
+                  base: BaseInvariants, n_max: int) -> GrowthBoundReport:
+    """Compute the curve's q-sets and assemble rows for n = 0..n_max.
+
+    n_max is capped at DEFAULT_LEVEL_CAP to keep degrees desk-scale.
+    """
+    _check_n_max(n_max)
+    return assemble_report(E.label, spec, base, compute_qsets(E, spec), n_max)
+
+
+def assemble_report(label: str | None, spec: TowerSpec, base: BaseInvariants,
+                    q: QSets, n_max: int) -> GrowthBoundReport:
+    """Rows for n = 0..n_max from given q-sets.
+
+    Rows use the conditional formulas, except that an unconditional
+    ALL_LEVELS_ZERO verdict (zero base data, empty q-sets) needs no declared
+    hypothesis.
+    """
+    _check_n_max(n_max)
     verdict = selmer_zero_propagation(base, q)
     if verdict is not SelmerVerdict.ALL_LEVELS_ZERO:
         _require_hypothesis(spec)
@@ -249,5 +260,5 @@ def growth_report(E: curve_mod.WeierstrassCurve, spec: TowerSpec,
         )
         row.validate()
         rows.append(row)
-    return GrowthBoundReport(label=E.label, spec=spec, base=base, qsets=q,
+    return GrowthBoundReport(label=label, spec=spec, base=base, qsets=q,
                              verdict=verdict, rows=tuple(rows))

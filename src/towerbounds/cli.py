@@ -12,8 +12,12 @@ Subcommands map one-to-one onto library operations:
     wprep       Weierstrass preparation of a p-adic series
     density     prime-scan experiments (exact fractions)
 
+Each subcommand returns its whole output, text or a ``--json`` report built
+by ``report`` (``"schema": 1``); ``main`` renders it and writes it only once
+the command has succeeded, so a failure leaves stdout empty.
+
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
-2 usage error.  ``--json`` output carries ``"schema": 1``.
+2 usage error.
 """
 
 from __future__ import annotations
@@ -21,60 +25,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
-from . import catalog, curve, cyclotomic, density, series, tower
+from . import catalog, curve, cyclotomic, density, report, series, tower
 from .errors import DomainError
-
-SCHEMA = 1
-
-
-# --- small rendering helpers ---------------------------------------------
-
-def _tower_text(spec: tower.TowerSpec) -> str:
-    if spec.kind is tower.TowerKind.FALSE_TATE:
-        return f"falsetate:{spec.ell}"
-    if spec.kind is tower.TowerKind.ZPD_COMPOSITE:
-        return f"zpd:{spec.d}"
-    if spec.kind is tower.TowerKind.TORSION_FIELD:
-        return "torsion"
-    return f"generic:{spec.d}:" + ",".join(str(x) for x in spec.ramified_primes)
-
-
-def _parse_tower(text: str, p: int, assume_mhg: bool) -> tower.TowerSpec:
-    kind, _, arg = text.partition(":")
-    if kind == "zpd":
-        if not arg:
-            raise ValueError("zpd tower needs a dimension, e.g. zpd:3")
-        return tower.TowerSpec.zpd_composite(p, int(arg), assume_mhg=assume_mhg)
-    if kind == "falsetate":
-        if not arg:
-            raise ValueError("falsetate tower needs a prime, e.g. falsetate:11")
-        return tower.TowerSpec.false_tate(p, int(arg), assume_mhg=assume_mhg)
-    if kind == "torsion":
-        if arg:
-            raise ValueError("torsion tower takes no parameter")
-        return tower.TowerSpec.torsion_field(p, assume_mhg=assume_mhg)
-    if kind == "generic":
-        d_text, sep, ells = arg.partition(":")
-        if not sep:
-            raise ValueError("generic tower needs a dimension and ramified primes, "
-                             "e.g. generic:3:11,13")
-        ramified = [int(x) for x in ells.split(",")] if ells else []
-        return tower.TowerSpec.generic(p, int(d_text), ramified, assume_mhg=assume_mhg)
-    raise ValueError(f"unknown tower {text!r} "
-                     "(expected zpd:D, falsetate:L, torsion or generic:D:L1,L2,...)")
+from .report import validate_report_json  # noqa: F401  (re-exported for callers of cli)
 
 
 def _witness_text(wits: tuple[tuple[int, int], ...]) -> str:
     if not wits:
         return "(none)"
     return " ".join(f"{ell}:{count}" for ell, count in wits)
-
-
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
 
 
 def _load_entry(args) -> catalog.CurveFileEntry:
@@ -137,250 +98,111 @@ def _resolve_base(args, entry: catalog.CurveFileEntry | None) -> bounds_mod.Base
                                      provenance="; ".join(notes) or "command-line input")
 
 
-# --- report serialization (schema 1) --------------------------------------
+# --- subcommand bodies: each returns its whole output ----------------------
 
-def qsets_json(label: str | None, spec: tower.TowerSpec, q: tower.QSets) -> dict:
-    return {
-        "schema": SCHEMA, "kind": "qsets", "label": label,
-        "p": spec.p, "tower": _tower_text(spec), "d": spec.d,
-        "q1": q.q1, "q2": q.q2,
-        "witnesses_q1": [list(w) for w in q.witnesses_q1],
-        "witnesses_q2": [list(w) for w in q.witnesses_q2],
-    }
-
-
-def growth_json(report: bounds_mod.GrowthBoundReport) -> dict:
-    spec = report.spec
-    return {
-        "schema": SCHEMA, "kind": "bounds", "label": report.label,
-        "p": spec.p, "tower": _tower_text(spec), "d": spec.d,
-        "assume_mhg": spec.assume_mhg,
-        "base": {
-            "mu0": report.base.mu0, "lambda0": report.base.lambda0,
-            "selmer_zero": report.base.selmer_zero,
-            "provenance": report.base.provenance,
-        },
-        "q1": report.qsets.q1, "q2": report.qsets.q2,
-        "witnesses_q1": [list(w) for w in report.qsets.witnesses_q1],
-        "witnesses_q2": [list(w) for w in report.qsets.witnesses_q2],
-        "verdict": report.verdict.value,
-        "rows": [
-            {
-                "n": r.n, "cyc_degree": r.cyc_degree, "mu": r.mu,
-                "lambda_lower": r.lambda_lower, "lambda_upper": r.lambda_upper,
-                "rank_upper": r.rank_upper, "hung_lim_upper": r.hung_lim_upper,
-            }
-            for r in report.rows
-        ],
-    }
-
-
-def density_json(report: density.DensityReport) -> dict:
-    return {
-        "schema": SCHEMA, "kind": "density", "label": report.label,
-        "p": report.p, "mode": report.mode, "limit": report.limit,
-        "total": report.total, "hits": report.hits,
-        "fraction": f"{report.hits}/{report.total}", "decimal": report.decimal,
-    }
-
-
-def validate_report_json(obj: dict) -> None:
-    """Re-validate an emitted JSON report against its type invariants.
-
-    Raises ValueError (or a domain error) when anything is off; used by the
-    suite's round-trip checks.
-    """
-    if obj.get("schema") != SCHEMA:
-        raise ValueError(f"unknown schema {obj.get('schema')!r}")
-    kind = obj.get("kind")
-    if kind in ("qsets", "bounds"):
-        tower.QSets(
-            q1=obj["q1"], q2=obj["q2"],
-            witnesses_q1=tuple((ell, c) for ell, c in obj["witnesses_q1"]),
-            witnesses_q2=tuple((ell, c) for ell, c in obj["witnesses_q2"]),
-        )
-    if kind == "qsets":
-        if any(ell == obj["p"] for ell, _ in obj["witnesses_q1"] + obj["witnesses_q2"]):
-            raise ValueError("witness prime equals p")
-    elif kind == "bounds":
-        base = bounds_mod.BaseInvariants(
-            mu0=obj["base"]["mu0"], lambda0=obj["base"]["lambda0"],
-            selmer_zero=obj["base"]["selmer_zero"],
-            provenance=obj["base"]["provenance"],
-        )
-        p, d = obj["p"], obj["d"]
-        for row in obj["rows"]:
-            n = row["n"]
-            if row["cyc_degree"] != p ** ((d - 1) * n):
-                raise ValueError(f"row {n}: wrong layer degree")
-            if row["mu"] != row["cyc_degree"] * base.mu0:
-                raise ValueError(f"row {n}: wrong mu")
-            if not (0 <= row["lambda_lower"] <= row["lambda_upper"] == row["rank_upper"]):
-                raise ValueError(f"row {n}: inconsistent lambda/rank")
-        if obj["verdict"] == "all_levels_zero":
-            if any(row["mu"] or row["rank_upper"] for row in obj["rows"]):
-                raise ValueError("all_levels_zero verdict with nonzero rows")
-    elif kind == "density":
-        if not 0 <= obj["hits"] <= obj["total"]:
-            raise ValueError("hits out of range")
-        if Fraction(obj["fraction"]) != Fraction(obj["hits"], obj["total"]):
-            raise ValueError("fraction does not match hits/total")
-    elif kind == "splitting":
-        p, f, g = obj["p"], obj["f"], obj["g_inf"]
-        if (p - 1) % f or g != ((p - 1) // f) * p ** (obj["m"] - 1):
-            raise ValueError("inconsistent splitting data")
-    elif kind == "splitting_finite":
-        if obj["count"] != cyclotomic.splitting_finite(obj["ell"], obj["p"], obj["level"]):
-            raise ValueError("splitting count does not match the level")
-    elif kind == "count":
-        pc = curve.PointCount(ell=obj["ell"], k=obj["k"], count=obj["count"],
-                              trace=obj["trace"])
-        pc.validate()
-    elif kind == "invariants":
-        curve.curve_from_ainvs(obj["ainvs"], label=obj["label"]).validate()
-    else:
-        raise ValueError(f"unknown report kind {kind!r}")
-
-
-# --- subcommand bodies -----------------------------------------------------
-
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> str | dict:
     E = _load_entry(args).curve
     if args.json:
-        _emit_json({"schema": SCHEMA, "kind": "invariants", "label": E.label,
-                    "ainvs": list(E.ainvs), "b2": E.b2, "b4": E.b4, "b6": E.b6,
-                    "b8": E.b8, "c4": E.c4, "c6": E.c6, "disc": E.disc})
-        return 0
-    print(f"label={E.label}")
-    print(f"ainvs={list(E.ainvs)}")
-    print(f"b2={E.b2} b4={E.b4} b6={E.b6} b8={E.b8}")
-    print(f"c4={E.c4} c6={E.c6}")
-    print(f"disc={E.disc}")
-    return 0
+        return report.invariants_json(E)
+    return (f"label={E.label}\nainvs={list(E.ainvs)}\n"
+            f"b2={E.b2} b4={E.b4} b6={E.b6} b8={E.b8}\n"
+            f"c4={E.c4} c6={E.c6}\ndisc={E.disc}")
 
 
-def _cmd_reduction(args) -> int:
+def _cmd_reduction(args) -> str:
     E = _load_entry(args).curve
-    rt = curve.reduction_type(E, args.ell)
-    print(f"ell={args.ell} type={rt.value}")
-    return 0
+    return f"ell={args.ell} type={curve.reduction_type(E, args.ell).value}"
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> str | dict:
     E = _load_entry(args).curve
     pc = curve.count_points_ext(E, args.ell, args.ext)
     if args.json:
-        _emit_json({"schema": SCHEMA, "kind": "count", "label": E.label,
-                    "ell": pc.ell, "k": pc.k, "count": pc.count, "trace": pc.trace})
-        return 0
-    print(f"ell={pc.ell} k={pc.k} count={pc.count} trace={pc.trace}")
-    return 0
+        return report.count_json(E.label, pc)
+    return f"ell={pc.ell} k={pc.k} count={pc.count} trace={pc.trace}"
 
 
-def _cmd_splitting(args) -> int:
+def _cmd_splitting(args) -> str | dict:
     if args.level is not None:
         g = cyclotomic.splitting_finite(args.ell, args.p, args.level)
         if args.json:
-            _emit_json({"schema": SCHEMA, "kind": "splitting_finite", "ell": args.ell,
-                        "p": args.p, "level": args.level, "count": g})
-        else:
-            print(f"ell={args.ell} p={args.p} level={args.level} count={g}")
-        return 0
+            return report.splitting_finite_json(args.ell, args.p, args.level, g)
+        return f"ell={args.ell} p={args.p} level={args.level} count={g}"
     data = cyclotomic.splitting_infinite(args.ell, args.p)
     if args.json:
-        _emit_json({"schema": SCHEMA, "kind": "splitting", "ell": data.ell,
-                    "p": data.p, "f": data.residue_order, "m": data.stable_level,
-                    "g_inf": data.num_primes})
-    else:
-        print(f"ell={data.ell} p={data.p} f={data.residue_order} "
-              f"m={data.stable_level} g_inf={data.num_primes}")
-    return 0
+        return report.splitting_json(data)
+    return (f"ell={data.ell} p={data.p} f={data.residue_order} "
+            f"m={data.stable_level} g_inf={data.num_primes}")
 
 
-def _cmd_qsets(args) -> int:
+def _qsets_lines(q: tower.QSets) -> list[str]:
+    return [f"q1={q.q1} q2={q.q2}",
+            f"q1_witnesses: {_witness_text(q.witnesses_q1)}",
+            f"q2_witnesses: {_witness_text(q.witnesses_q2)}"]
+
+
+def _cmd_qsets(args) -> str | dict:
     E = _load_entry(args).curve
-    spec = _parse_tower(args.tower, args.p, assume_mhg=False)
+    spec = report.parse_tower(args.tower, args.p, assume_mhg=False)
     q = tower.compute_qsets(E, spec)
     if args.json:
-        _emit_json(qsets_json(E.label, spec, q))
-        return 0
-    print(f"q1={q.q1} q2={q.q2}")
-    print(f"q1_witnesses: {_witness_text(q.witnesses_q1)}")
-    print(f"q2_witnesses: {_witness_text(q.witnesses_q2)}")
-    return 0
+        return report.qsets_json(E.label, spec, q)
+    return "\n".join(_qsets_lines(q))
 
 
-def _format_table(rows: list[list[str]]) -> list[str]:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows]
-
-
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> str | dict:
     entry = _load_entry(args)
-    spec = _parse_tower(args.tower, args.p, assume_mhg=args.assume_mhg)
+    spec = report.parse_tower(args.tower, args.p, assume_mhg=args.assume_mhg)
     base = _resolve_base(args, entry)
-    report = bounds_mod.growth_report(entry.curve, spec, base, args.nmax)
+    rep = bounds_mod.growth_report(entry.curve, spec, base, args.nmax)
     if args.json:
-        _emit_json(growth_json(report))
-        return 0
-    q = report.qsets
-    print(f"label={report.label} tower={_tower_text(spec)} p={spec.p} d={spec.d}")
-    print(f"q1={q.q1} q2={q.q2}")
-    print(f"q1_witnesses: {_witness_text(q.witnesses_q1)}")
-    print(f"q2_witnesses: {_witness_text(q.witnesses_q2)}")
-    print(f"base: mu0={base.mu0} lambda0={base.lambda0} "
-          f"selmer_zero={'true' if base.selmer_zero else 'false'}")
-    print(f"provenance: {base.provenance}")
-    print(f"assume_mhg={'true' if spec.assume_mhg else 'false'}")
-    print(f"verdict={report.verdict.value}")
+        return report.bounds_json(rep)
     header = ["n", "cyc_degree", "mu", "lambda_min", "lambda_max", "rank_max", "hung_lim"]
     # growth_report fills hung_lim_upper exactly on torsion towers
     cells = [header if spec.kind is tower.TowerKind.TORSION_FIELD else header[:-1]]
-    for r in report.rows:
+    for r in rep.rows:
         cells.append([str(v) for v in (r.n, r.cyc_degree, r.mu, r.lambda_lower, r.lambda_upper,
                                        r.rank_upper, r.hung_lim_upper) if v is not None])
-    for line in _format_table(cells):
-        print(line)
-    return 0
+    widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
+    return "\n".join([
+        f"label={rep.label} tower={report.tower_text(spec)} p={spec.p} d={spec.d}",
+        *_qsets_lines(rep.qsets),
+        f"base: mu0={base.mu0} lambda0={base.lambda0} "
+        f"selmer_zero={'true' if base.selmer_zero else 'false'}",
+        f"provenance: {base.provenance}",
+        f"assume_mhg={'true' if spec.assume_mhg else 'false'}",
+        f"verdict={rep.verdict.value}",
+        *("  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in cells),
+    ])
 
 
-def _cmd_kida(args) -> int:
-    spec = _parse_tower(args.tower, args.p, assume_mhg=args.assume_mhg)
-    base = bounds_mod.BaseInvariants(
-        mu0=args.mu0 if args.mu0 is not None else 0,
-        lambda0=args.lambda0, selmer_zero=False,
-        provenance="command-line input",
-    )
-    ram = _parse_ram(args.ram, args.n)
-    lam = bounds_mod.kida_lambda(base, spec, ram)
-    print(f"level={args.n} lambda={lam}")
-    return 0
+def _cmd_kida(args) -> str:
+    spec = report.parse_tower(args.tower, args.p, assume_mhg=args.assume_mhg)
+    base = bounds_mod.BaseInvariants(mu0=args.mu0 if args.mu0 is not None else 0,
+                                     lambda0=args.lambda0, selmer_zero=False,
+                                     provenance="command-line input")
+    lam = bounds_mod.kida_lambda(base, spec, _parse_ram(args.ram, args.n))
+    return f"level={args.n} lambda={lam}"
 
 
-def _cmd_wprep(args) -> int:
-    f = series.series_from_text(args.series)
-    inv, _unit_checked = series.weierstrass_prepare(f)
-    print(f"mu={inv.mu} lambda={inv.lam}")
-    return 0
+def _cmd_wprep(args) -> str:
+    inv, _unit_checked = series.weierstrass_prepare(series.series_from_text(args.series))
+    return f"mu={inv.mu} lambda={inv.lam}"
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> str | dict:
     E = _load_entry(args).curve
     scan = (density.scan_torsion_density if args.mode == "torsion"
             else density.scan_q_vanishing)
-    report = scan(E, args.p, args.limit, workers=args.jobs, keep_rows=args.csv)
+    rep = scan(E, args.p, args.limit, workers=args.jobs, keep_rows=args.csv)
     if args.csv:
-        print("ell,count_mod_p,hit")
-        for row in report.rows:
-            print(f"{row.ell},{row.count_mod_p},{1 if row.hit else 0}")
-        return 0
+        return "\n".join(["ell,count_mod_p,hit", *(
+            f"{row.ell},{row.count_mod_p},{1 if row.hit else 0}" for row in rep.rows)])
     if args.json:
-        _emit_json(density_json(report))
-        return 0
-    print(f"label={report.label} p={report.p} mode={report.mode} limit={report.limit}")
-    print(f"total={report.total} hits={report.hits} "
-          f"fraction={report.hits}/{report.total} decimal={report.decimal}")
-    return 0
+        return report.density_json(rep)
+    return (f"label={rep.label} p={rep.p} mode={rep.mode} limit={rep.limit}\n"
+            f"total={rep.total} hits={rep.hits} "
+            f"fraction={rep.hits}/{rep.total} decimal={rep.decimal}")
 
 
 # --- parser ----------------------------------------------------------------
@@ -478,13 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        text = out if isinstance(out, str) else json.dumps(out, sort_keys=True)
     except DomainError as e:
         print(f"error: {e.name}: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

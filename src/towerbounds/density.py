@@ -58,6 +58,11 @@ class DensityReport:
     hits: int
     rows: tuple[ScanRow, ...] | None = None
 
+    def __post_init__(self):
+        if not 0 <= self.hits <= self.total or not self.total:
+            raise ValueError(f"need 0 <= hits <= total and total >= 1, "
+                             f"got hits={self.hits} total={self.total}")
+
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.hits, self.total)

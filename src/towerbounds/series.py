@@ -136,10 +136,6 @@ class CharacteristicElement:
                 raise PrimeMismatch(f"factor over p={f.p} in element over p={self.p}")
         object.__setattr__(self, "lam", sum(f.degree for f in self.factors))
 
-    @property
-    def invariants(self) -> IwasawaInvariants:
-        return IwasawaInvariants(mu=self.mu, lam=self.lam)
-
 
 def char_element(p: int, mu_list: list[int] | tuple[int, ...],
                  factors: list[DistinguishedPoly] | tuple[DistinguishedPoly, ...],

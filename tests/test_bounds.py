@@ -251,8 +251,6 @@ class TestGrowthReport:
         spec = TowerSpec.false_tate(7, 11, assume_mhg=True)
         with pytest.raises(ValueError):
             growth_report(curve_11a2, spec, base(), n_max=13)
-        with pytest.raises(ValueError):
-            growth_report(curve_11a2, spec, base(), n_max=5, level_cap=4)
 
     def test_row_validation(self):
         with pytest.raises(ValueError):

@@ -1,23 +1,24 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_multiplicative_order
-from towerbounds.cli import (
-    _parse_tower,
-    _tower_text,
-    build_parser,
-    main,
-    validate_report_json,
-)
-from towerbounds.errors import DomainError
-from towerbounds.tower import TowerKind, TowerSpec
+import towerbounds
+from towerbounds.bounds import BaseInvariants, assemble_report
+from towerbounds.cli import build_parser, main, validate_report_json
+from towerbounds.errors import DomainError, HypothesisNotDeclared
+from towerbounds.report import bounds_json
+from towerbounds.report import parse_tower as _parse_tower
+from towerbounds.report import tower_text as _tower_text
+from towerbounds.tower import QSets, TowerKind, TowerSpec
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,39 @@ def tower_specs(draw):
     return TowerSpec.generic(p, draw(st.integers(2, 6)),
                              draw(st.lists(st.sampled_from(others), unique=True, max_size=5)),
                              assume_mhg=mhg)
+
+
+@st.composite
+def qsets(draw):
+    wits = [(ell, draw(st.integers(1, 3)))
+            for ell in draw(st.lists(st.sampled_from(_PRIMES), unique=True, max_size=4))]
+    cut = draw(st.integers(0, len(wits)))
+    w1, w2 = tuple(wits[:cut]), tuple(wits[cut:])
+    return QSets(sum(c for _, c in w1), sum(c for _, c in w2), w1, w2)
+
+
+@st.composite
+def bases(draw):
+    if draw(st.booleans()):
+        return BaseInvariants(0, 0, True, "test input")
+    return BaseInvariants(draw(st.integers(0, 5)), draw(st.integers(0, 5)), False, "test input")
+
+
+class TestBoundsReportRebuild:
+    @given(tower_specs(), qsets(), bases(), st.integers(0, 12), st.data())
+    def test_validates_and_refuses_any_changed_row_int(self, spec, q, base, n_max, data):
+        try:
+            rep = assemble_report("t", spec, base, q, n_max)
+        except HypothesisNotDeclared:
+            assert not spec.assume_mhg
+            return
+        obj = json.loads(json.dumps(bounds_json(rep)))
+        validate_report_json(obj)
+        row = data.draw(st.sampled_from(obj["rows"]))
+        key = data.draw(st.sampled_from(sorted(k for k, v in row.items() if v is not None)))
+        row[key] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        with pytest.raises((ValueError, DomainError)):
+            validate_report_json(obj)
 
 
 class TestTowerText:
@@ -514,11 +548,13 @@ class TestCurveFileOption:
 
 class TestImportCost:
     def test_package_import_skips_cli_and_report(self):
+        # the package import is what every library user pays for
         code = ("import sys, towerbounds; "
                 "print(sorted(m for m in ('towerbounds.cli', 'towerbounds.report') "
                 "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
+        src = str(Path(towerbounds.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
         assert out.strip() == "[]"
 
 
