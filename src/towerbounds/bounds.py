@@ -34,7 +34,7 @@ from . import curve as curve_mod
 from .errors import HypothesisNotDeclared, InvalidRamification, WrongTowerKind
 from .tower import QSets, TowerKind, TowerSpec, compute_qsets, cyc_layer_degree
 
-#: default ceiling on report depth; degrees grow like p^((d-1)n)
+#: ceiling on report depth and Kida level; degrees grow like p^((d-1)n)
 DEFAULT_LEVEL_CAP = 12
 
 

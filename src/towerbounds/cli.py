@@ -32,12 +32,6 @@ from .errors import DomainError
 from .report import validate_report_json  # noqa: F401  (re-exported for callers of cli)
 
 
-def _witness_text(wits: tuple[tuple[int, int], ...]) -> str:
-    if not wits:
-        return "(none)"
-    return " ".join(f"{ell}:{count}" for ell, count in wits)
-
-
 def _load_entry(args) -> catalog.CurveFileEntry:
     path = args.curves if args.curves else catalog.bundled_curve_path()
     table = catalog.load_curve_file(path)
@@ -136,9 +130,9 @@ def _cmd_splitting(args) -> str | dict:
 
 
 def _qsets_lines(q: tower.QSets) -> list[str]:
-    return [f"q1={q.q1} q2={q.q2}",
-            f"q1_witnesses: {_witness_text(q.witnesses_q1)}",
-            f"q2_witnesses: {_witness_text(q.witnesses_q2)}"]
+    return [f"q1={q.q1} q2={q.q2}"] + [
+        f"{tag}_witnesses: " + (" ".join(f"{ell}:{c}" for ell, c in wits) or "(none)")
+        for tag, wits in (("q1", q.witnesses_q1), ("q2", q.witnesses_q2))]
 
 
 def _cmd_qsets(args) -> str | dict:

@@ -59,9 +59,10 @@ class DensityReport:
     rows: tuple[ScanRow, ...] | None = None
 
     def __post_init__(self):
+        if self.mode not in ("torsion", "qvanish"):
+            raise ValueError(f"unknown scan mode {self.mode!r}")
         if not 0 <= self.hits <= self.total or not self.total:
-            raise ValueError(f"need 0 <= hits <= total and total >= 1, "
-                             f"got hits={self.hits} total={self.total}")
+            raise ValueError(f"need 0 <= hits <= total >= 1, got {self.hits}/{self.total}")
 
     @property
     def fraction(self) -> Fraction:

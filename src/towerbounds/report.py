@@ -83,17 +83,17 @@ def qsets_json(label: str | None, spec: tower.TowerSpec, q: tower.QSets) -> dict
 
 def bounds_json(report: bounds.GrowthBoundReport) -> dict:
     base = report.base
-    return {
-        **qsets_json(report.label, report.spec, report.qsets),
-        "kind": "bounds", "assume_mhg": report.spec.assume_mhg,
-        "base": {"mu0": base.mu0, "lambda0": base.lambda0,
-                 "selmer_zero": base.selmer_zero, "provenance": base.provenance},
-        "verdict": report.verdict.value,
-        "rows": [{"n": r.n, "cyc_degree": r.cyc_degree, "mu": r.mu,
-                  "lambda_lower": r.lambda_lower, "lambda_upper": r.lambda_upper,
-                  "rank_upper": r.rank_upper, "hung_lim_upper": r.hung_lim_upper}
-                 for r in report.rows],
-    }
+    return dict(
+        qsets_json(report.label, report.spec, report.qsets),
+        kind="bounds", assume_mhg=report.spec.assume_mhg,
+        base={"mu0": base.mu0, "lambda0": base.lambda0,
+              "selmer_zero": base.selmer_zero, "provenance": base.provenance},
+        verdict=report.verdict.value,
+        rows=[{"n": r.n, "cyc_degree": r.cyc_degree, "mu": r.mu,
+               "lambda_lower": r.lambda_lower, "lambda_upper": r.lambda_upper,
+               "rank_upper": r.rank_upper, "hung_lim_upper": r.hung_lim_upper}
+              for r in report.rows],
+    )
 
 
 def density_json(report: DensityReport) -> dict:
@@ -130,15 +130,18 @@ def _rebuild(obj: dict) -> dict:
         q = _qsets(obj)
         if any(ell == obj["p"] for ell, _ in q.witnesses_q1 + q.witnesses_q2):
             raise ValueError("witness prime equals p")
-        return qsets_json(obj["label"], parse_tower(obj["tower"], obj["p"], False), q)
+        return qsets_json(obj["label"], parse_tower(obj["tower"], obj["p"], assume_mhg=False), q)
     if kind == "bounds":
         spec = parse_tower(obj["tower"], obj["p"], obj["assume_mhg"])
-        return bounds_json(bounds.assemble_report(
-            obj["label"], spec, bounds.BaseInvariants(**obj["base"]), _qsets(obj),
-            len(obj["rows"]) - 1))
+        b = obj["base"]
+        base = bounds.BaseInvariants(mu0=b["mu0"], lambda0=b["lambda0"],
+                                     selmer_zero=b["selmer_zero"], provenance=b["provenance"])
+        return bounds_json(bounds.assemble_report(obj["label"], spec, base, _qsets(obj),
+                                                  len(obj["rows"]) - 1))
     if kind == "density":
-        return density_json(DensityReport(**{
-            k: obj[k] for k in ("label", "p", "limit", "mode", "total", "hits")}))
+        return density_json(DensityReport(
+            label=obj["label"], p=obj["p"], limit=obj["limit"], mode=obj["mode"],
+            total=obj["total"], hits=obj["hits"]))
     raise ValueError(f"unknown report kind {kind!r}")
 
 

@@ -85,6 +85,7 @@ TAMPERS = {
     "bounds_lambda_lower": ("bounds", _row(1, lambda_lower=1)),
     "bounds_hung_lim_upper": ("bounds_torsion", _row(1, hung_lim_upper=1)),
     "density_decimal": ("density", lambda o: o.update(decimal="0.0001")),
+    "density_mode": ("density", lambda o: o.update(mode="both")),
 }
 
 
