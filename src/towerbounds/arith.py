@@ -25,6 +25,22 @@ _MR_TIERS = ((3_215_031_751, _MR_BASES[:4]), (341_550_071_728_321, _MR_BASES[:7]
 SIEVE_BUDGET = 10**8
 
 
+def check_int(value, what: str, lo: int | None = None) -> int:
+    """``value`` when it is an int >= ``lo``, else a ValueError naming ``what``.
+    An int subclass is an int here; a bool is not, nor is any float."""
+    if not isinstance(value, int) or isinstance(value, bool) or lo is not None and value < lo:
+        bound = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def check_prime(value, what: str, lo: int = 2) -> int:
+    """``value`` when check_int accepts it with bound ``lo`` and it is prime."""
+    if not is_prime(check_int(value, what, lo)):
+        raise ValueError(f"{what} must be a prime >= {lo}, got {value!r}")
+    return value
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for ``n`` < 3.3e24: Miller-Rabin to bases
     2, 3, 5, 7 below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, Math.
@@ -72,9 +88,7 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> PrimeRange:
     Raises LimitTooLarge when ``limit`` exceeds ``budget`` (default 10^8),
     which caps the sieve array at about 100 MB.
     """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > budget:
+    if check_int(limit, "sieve limit", 2) > budget:
         raise LimitTooLarge(f"sieve limit {limit} exceeds budget {budget}")
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
@@ -86,10 +100,9 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> PrimeRange:
 
 def padic_valuation(n: int, p: int) -> int:
     """Largest v with p^v | n.  Undefined (ZeroInput) for n = 0."""
-    if n == 0:
+    if check_int(n, "valuation argument") == 0:
         raise ZeroInput("valuation of 0 is undefined")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"valuation base must be prime, got {p}")
+    check_prime(p, "valuation base")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -101,9 +114,7 @@ def padic_valuation(n: int, p: int) -> int:
 def legendre_symbol(a: int, ell: int) -> int:
     """Legendre symbol (a/ell) in {-1, 0, 1} for an odd prime ell, by Euler's
     criterion."""
-    if ell == 2 or not is_prime(ell):
-        raise ValueError(f"Legendre symbol needs an odd prime, got {ell}")
-    a %= ell
+    a = check_int(a, "Legendre symbol numerator") % check_prime(ell, "Legendre symbol modulus", 3)
     if a == 0:
         return 0
     r = pow(a, (ell - 1) // 2, ell)
@@ -165,8 +176,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def euler_phi(n: int) -> int:
     """Euler's totient, via factorization."""
-    if n < 1:
-        raise ValueError(f"totient needs n >= 1, got {n}")
+    check_int(n, "totient argument", 1)
     phi = 1
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)
@@ -175,9 +185,7 @@ def euler_phi(n: int) -> int:
 
 def multiplicative_order(a: int, m: int) -> int:
     """Least k >= 1 with a^k = 1 mod m.  Raises NotCoprime when gcd(a,m) > 1."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
+    a = check_int(a, "base") % check_int(m, "modulus", 2)
     if gcd(a, m) != 1:
         raise NotCoprime(f"gcd({a}, {m}) != 1")
     order = euler_phi(m)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import arith
 from . import curve as curve_mod
 from .errors import HypothesisNotDeclared, InvalidRamification, WrongTowerKind
 from .tower import QSets, TowerKind, TowerSpec, compute_qsets, cyc_layer_degree
@@ -57,11 +58,8 @@ class BaseInvariants:
     provenance: str
 
     def __post_init__(self):
-        if not isinstance(self.mu0, int) or isinstance(self.mu0, bool) or self.mu0 < 0:
-            raise ValueError(f"mu0 must be an integer >= 0, got {self.mu0!r}")
-        if (not isinstance(self.lambda0, int) or isinstance(self.lambda0, bool)
-                or self.lambda0 < 0):
-            raise ValueError(f"lambda0 must be an integer >= 0, got {self.lambda0!r}")
+        arith.check_int(self.mu0, "mu0", 0)
+        arith.check_int(self.lambda0, "lambda0", 0)
         if not isinstance(self.provenance, str) or not self.provenance.strip():
             raise ValueError("base invariants need a non-empty provenance note")
         if self.selmer_zero and (self.mu0 or self.lambda0):
@@ -83,8 +81,7 @@ class RamificationData:
     good_torsion: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.level, int) or isinstance(self.level, bool) or self.level < 0:
-            raise ValueError(f"level must be an integer >= 0, got {self.level!r}")
+        arith.check_int(self.level, "level", 0)
 
 
 def _require_hypothesis(spec: TowerSpec) -> None:
@@ -169,9 +166,7 @@ def hung_lim_bound(base: BaseInvariants, spec: TowerSpec, q: QSets, n: int) -> i
         raise WrongTowerKind(
             f"comparison bound applies to torsion-field towers, not {spec.kind.value}"
         )
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level must be an integer >= 0, got {n}")
-    return _hung_lim(base.lambda0, q, spec.p ** (3 * n))
+    return _hung_lim(base.lambda0, q, spec.p ** (3 * arith.check_int(n, "level", 0)))
 
 
 def selmer_zero_propagation(base: BaseInvariants, q: QSets) -> SelmerVerdict:
@@ -215,9 +210,7 @@ class GrowthBoundReport:
 
 
 def _check_n_max(n_max: int) -> None:
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
-    if n_max > DEFAULT_LEVEL_CAP:
+    if arith.check_int(n_max, "n_max", 0) > DEFAULT_LEVEL_CAP:
         raise ValueError(f"n_max={n_max} exceeds level cap {DEFAULT_LEVEL_CAP}")
 
 

@@ -69,13 +69,10 @@ def _parse_ram(text: str, level: int) -> bounds_mod.RamificationData:
                                        good_torsion=tuple(good_torsion))
 
 
-def _resolve_base(args, entry: catalog.CurveFileEntry | None) -> bounds_mod.BaseInvariants:
-    lam = args.lambda0 if args.lambda0 is not None else (
-        entry.lambda0 if entry is not None else None)
-    mu = args.mu0 if args.mu0 is not None else (
-        entry.mu0 if entry is not None else None)
-    selmer = bool(getattr(args, "selmer_zero", False)) or bool(
-        entry is not None and entry.selmer_zero)
+def _resolve_base(args, entry: catalog.CurveFileEntry) -> bounds_mod.BaseInvariants:
+    lam = args.lambda0 if args.lambda0 is not None else entry.lambda0
+    mu = args.mu0 if args.mu0 is not None else entry.mu0
+    selmer = args.selmer_zero or bool(entry.selmer_zero)
     if selmer:
         lam = 0 if lam is None else lam
         mu = 0 if mu is None else mu
@@ -83,10 +80,9 @@ def _resolve_base(args, entry: catalog.CurveFileEntry | None) -> bounds_mod.Base
         raise ValueError("base invariants required: pass --lambda0 and --mu0 "
                          "(or use a curve file carrying them)")
     notes = []
-    if args.lambda0 is not None or args.mu0 is not None or getattr(args, "selmer_zero", False):
+    if args.lambda0 is not None or args.mu0 is not None or args.selmer_zero:
         notes.append("command-line input")
-    if entry is not None and entry.provenance and (
-            args.lambda0 is None or args.mu0 is None or entry.selmer_zero):
+    if entry.provenance and (args.lambda0 is None or args.mu0 is None or entry.selmer_zero):
         notes.append(entry.provenance)
     return bounds_mod.BaseInvariants(mu0=mu, lambda0=lam, selmer_zero=selmer,
                                      provenance="; ".join(notes) or "command-line input")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import isqrt
 
 import numpy  # noqa: F401  -- unused; bench/layers.py times this import
@@ -94,9 +95,13 @@ class PointCount:
     trace: int
 
     def validate(self) -> None:
-        if self.count != self.ell**self.k + 1 - self.trace:
+        """Check count = ell^k + 1 - trace and the Hasse bound, sizes before ell^k."""
+        ell = arith.check_int(self.ell, "ell", 2)
+        k = arith.check_int(self.k, "extension degree", 1)
+        q = arith.check_int(self.count, "count") + arith.check_int(self.trace, "trace") - 1
+        if not k * (ell.bit_length() - 1) < q.bit_length() <= k * ell.bit_length() or q != ell**k:
             raise InternalInvariantViolation("count/trace mismatch")
-        if self.trace**2 > 4 * self.ell**self.k:
+        if self.trace**2 > 4 * q:
             raise InternalInvariantViolation("Hasse bound violated")
 
 
@@ -107,8 +112,7 @@ def make_curve(a1: int, a2: int, a3: int, a4: int, a6: int,
     Raises SingularCurve when the discriminant vanishes.
     """
     for v in (a1, a2, a3, a4, a6):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"coefficients must be integers, got {v!r}")
+        arith.check_int(v, "coefficient")
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -131,15 +135,9 @@ def curve_from_ainvs(ainvs, label: str | None = None) -> WeierstrassCurve:
     return make_curve(*vals, label=label)
 
 
-def _check_prime(ell: int) -> None:
-    if not arith.is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-
-
 def is_minimal_at(E: WeierstrassCurve, ell: int) -> bool:
     """Sufficient minimality check at ell: v_ell(disc) < 12 or v_ell(c4) < 4."""
-    _check_prime(ell)
-    return _is_minimal_at(E, ell)
+    return _is_minimal_at(E, arith.check_prime(ell, "ell"))
 
 
 # Private helpers take a prime ell that their public caller has checked.
@@ -159,8 +157,7 @@ def reduction_type(E: WeierstrassCurve, ell: int) -> ReductionType:
     nonzero square mod ell, nonsplit otherwise.
     Additive    <=> ell | disc and ell | c4.
     """
-    _check_prime(ell)
-    if ell < 5:
+    if arith.check_prime(ell, "ell") < 5:
         raise SmallPrime(f"reduction classification needs ell >= 5, got {ell}")
     return _reduction_type(E, ell)
 
@@ -231,8 +228,9 @@ def _certified_trace(A: int, B: int, ell: int) -> int | None:
         lcm[side] = m * _order(Q, -(-lo // m), hi // m, a, ell)
         # step through the multiples of the larger lcm, on its own side
         step, sign = max((lcm[1], 1), (lcm[-1], -1))
-        hits = [n for n in range(-(-lo // step) * step, hi + 1, step)
-                if (2 * ell + 2 - n) % lcm[-sign] == 0]
+        # two hits already leave the certificate undecided
+        hits = list(islice((n for n in range(-(-lo // step) * step, hi + 1, step)
+                            if (2 * ell + 2 - n) % lcm[-sign] == 0), 2))
         if len(hits) == 1:
             return sign * (ell + 1 - hits[0])
     return None
@@ -360,8 +358,7 @@ def count_points(E: WeierstrassCurve, ell: int) -> PointCount:
     For ell >= 5 the count is ell + 1 - frobenius_trace(E, ell); for ell in
     {2, 3} a brute-force enumeration is used.
     """
-    _check_prime(ell)
-    return _count_points(E, ell)
+    return _count_points(E, arith.check_prime(ell, "ell"))
 
 
 def _count_points(E: WeierstrassCurve, ell: int) -> PointCount:
@@ -386,8 +383,7 @@ def count_points_ext(E: WeierstrassCurve, ell: int, k: int) -> PointCount:
 
     Raises LimitTooLarge when k * bitlen(ell) exceeds EXT_BIT_BUDGET.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"extension degree must be a positive integer, got {k}")
+    arith.check_int(k, "extension degree", 1)
     base = count_points(E, ell)
     if k * ell.bit_length() > EXT_BIT_BUDGET:
         raise LimitTooLarge(f"k * bitlen(ell) = {k * ell.bit_length()} exceeds the "
@@ -409,8 +405,7 @@ def _extend(base: PointCount, k: int) -> PointCount:
 
 def is_good_ordinary(E: WeierstrassCurve, p: int) -> bool:
     """True iff E has good reduction at p and p does not divide the trace a_p."""
-    _check_prime(p)
-    if p < 5:
+    if arith.check_prime(p, "p") < 5:
         raise SmallPrime(f"good-ordinary test needs p >= 5, got {p}")
     if _reduction_type(E, p) is not ReductionType.GOOD:
         return False
@@ -420,8 +415,7 @@ def is_good_ordinary(E: WeierstrassCurve, p: int) -> bool:
 def has_p_torsion_over(E: WeierstrassCurve, ell: int, p: int, k: int) -> bool:
     """True iff p divides #E(F_{ell^k}), i.e. the reduction has a point of
     order p over the degree-k extension."""
-    _check_prime(p)
-    if ell == p:
+    if arith.check_prime(p, "p") == ell:
         raise EqualPrimes(f"torsion test needs ell != p, both were {p}")
     return count_points_ext(E, ell, k).count % p == 0
 

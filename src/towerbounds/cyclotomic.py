@@ -39,11 +39,7 @@ class SplittingData:
 
 
 def _check_pair(ell: int, p: int) -> None:
-    if not arith.is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if not arith.is_prime(p) or p < 5:
-        raise ValueError(f"tower prime must be a prime >= 5, got {p}")
-    if ell == p:
+    if arith.check_prime(ell, "ell") == arith.check_prime(p, "tower prime", 5):
         raise EqualPrimes(f"splitting needs ell != p, both were {p}")
 
 
@@ -53,9 +49,7 @@ def splitting_finite(ell: int, p: int, level: int) -> int:
     Past the stable level m >= 1 the order is f * p^(level - m), so from level
     m + 2 on this is splitting_infinite's g, cross-checked at m and m + 1."""
     _check_pair(ell, p)
-    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
-        raise ValueError(f"level must be a positive integer, got {level}")
-    if level > 2:
+    if arith.check_int(level, "level", 1) > 2:
         data = _splitting_infinite(ell, p)
         if level > data.stable_level + 1:
             return data.num_primes
@@ -78,8 +72,11 @@ def splitting_infinite(ell: int, p: int) -> SplittingData:
 
 
 def _splitting_infinite(ell: int, p: int) -> SplittingData:
+    # m = v_p(ell^f - 1) >= 1 from residues mod p^(m + 1): f can be as large as p - 1
     f = arith.multiplicative_order(ell, p)
-    m = arith.padic_valuation(ell**f - 1, p)
+    m = 1
+    while pow(ell, f, p ** (m + 1)) == 1:
+        m += 1
     g = ((p - 1) // f) * p ** (m - 1)
     for level in (m, m + 1):
         if _splitting_finite(ell, p, level) != g:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .arith import sieve_primes
+from .arith import check_int, check_prime, sieve_primes
 from .curve import WeierstrassCurve, frobenius_trace, is_good_ordinary
 from .errors import EmptyScan, NotGoodOrdinary
 
@@ -59,9 +59,12 @@ class DensityReport:
     rows: tuple[ScanRow, ...] | None = None
 
     def __post_init__(self):
+        check_prime(self.p, "p")
+        check_int(self.limit, "scan limit", 100)
         if self.mode not in ("torsion", "qvanish"):
             raise ValueError(f"unknown scan mode {self.mode!r}")
-        if not 0 <= self.hits <= self.total or not self.total:
+        check_int(self.hits, "hits", 0)
+        if not self.hits <= check_int(self.total, "total", 1):
             raise ValueError(f"need 0 <= hits <= total >= 1, got {self.hits}/{self.total}")
 
     @property
@@ -88,10 +91,8 @@ def _scan_chunk(E: WeierstrassCurve, p: int, mode: str, chunk: list[int]) -> lis
 
 def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,
           keep_rows: bool) -> DensityReport:
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 100:
-        raise ValueError(f"scan limit must be an integer >= 100, got {limit!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_int(limit, "scan limit", 100)
+    check_int(workers, "workers", 1)
     if not is_good_ordinary(E, p):
         raise NotGoodOrdinary(f"{E.label or E.ainvs} is not good ordinary at {p}")
     ells = [ell for ell in sieve_primes(limit).primes

@@ -3,12 +3,15 @@
 One builder per report kind turns a library result into a dict.  A report
 is checked by rebuilding it from the inputs it names, through the library's
 own constructors and functions, and comparing the rebuilt dict with the
-report: the formulas live in the library only, never here.
+report field by field as JSON text, so that 2401.0 or true never passes for
+2401 or 1: the formulas live in the library only, never here.
 """
 
 from __future__ import annotations
 
-from . import bounds, curve, cyclotomic, tower
+import json
+
+from . import arith, bounds, curve, cyclotomic, tower
 from .density import DensityReport
 
 SCHEMA = 1
@@ -117,8 +120,8 @@ def _rebuild(obj: dict) -> dict:
     if kind == "invariants":
         return invariants_json(curve.curve_from_ainvs(obj["ainvs"], label=obj["label"]))
     if kind == "count":
-        pc = curve.PointCount(ell=obj["ell"], k=obj["k"], count=obj["count"],
-                              trace=obj["trace"])
+        pc = curve.PointCount(ell=arith.check_prime(obj["ell"], "ell"), k=obj["k"],
+                              count=obj["count"], trace=obj["trace"])
         pc.validate()
         return count_json(obj["label"], pc)
     if kind == "splitting":
@@ -154,10 +157,11 @@ def validate_report_json(obj: dict) -> None:
     if obj.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {obj.get('schema')!r}")
     try:
-        rebuilt = _rebuild(obj)
+        rebuilt = {k: json.dumps(v, sort_keys=True) for k, v in _rebuild(obj).items()}
+        given = {k: json.dumps(v, sort_keys=True) for k, v in obj.items()}
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed {obj.get('kind')!r} report: {e!r}") from None
-    if rebuilt != obj:
-        fields = sorted(k for k in rebuilt.keys() | obj.keys() if rebuilt.get(k) != obj.get(k))
+    if rebuilt != given:
+        fields = sorted(k for k in rebuilt.keys() | given.keys() if rebuilt.get(k) != given.get(k))
         raise ValueError(f"{obj['kind']} report does not match its inputs "
                          f"in {', '.join(fields)}")

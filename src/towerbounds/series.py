@@ -28,6 +28,7 @@ polynomials only, never over the p-power part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import arith
 from .errors import (
@@ -35,11 +36,6 @@ from .errors import (
     LengthTooShort,
     PrimeMismatch,
 )
-
-
-def _check_p(p: int) -> None:
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -51,9 +47,8 @@ class PadicSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        _check_p(self.p)
-        if not isinstance(self.prec, int) or self.prec < 1:
-            raise ValueError(f"coefficient precision must be >= 1, got {self.prec}")
+        arith.check_prime(self.p, "p")
+        arith.check_int(self.prec, "coefficient precision", 1)
         if len(self.coeffs) < 1:
             raise ValueError("a series needs at least one declared coefficient")
         # the first coefficient that is no residue (plain nonnegative ints are
@@ -87,15 +82,13 @@ class DistinguishedPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        _check_p(self.p)
+        arith.check_prime(self.p, "p")
         if len(self.coeffs) < 1:
             raise ValueError("empty coefficient list")
-        if self.coeffs[-1] != 1:
+        if arith.check_int(self.coeffs[-1], "leading coefficient") != 1:
             raise ValueError(f"not monic: leading coefficient {self.coeffs[-1]}")
         for i, c in enumerate(self.coeffs[:-1]):
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficient {i} = {c!r} is not an integer")
-            if c % self.p:
+            if arith.check_int(c, f"coefficient {i}") % self.p:
                 raise ValueError(
                     f"coefficient {i} = {c} of a distinguished polynomial "
                     f"must be divisible by {self.p}"
@@ -128,9 +121,8 @@ class CharacteristicElement:
     lam: int = field(init=False)
 
     def __post_init__(self):
-        _check_p(self.p)
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        arith.check_prime(self.p, "p")
+        arith.check_int(self.mu, "mu", 0)
         for f in self.factors:
             if f.p != self.p:
                 raise PrimeMismatch(f"factor over p={f.p} in element over p={self.p}")
@@ -143,8 +135,7 @@ def char_element(p: int, mu_list: list[int] | tuple[int, ...],
     """Assemble a characteristic element from p-power multiplicities and
     distinguished factors.  mu = sum(mu_list), lambda = sum of degrees."""
     for m in mu_list:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"p-power multiplicities must be positive integers, got {m!r}")
+        arith.check_int(m, "p-power multiplicity", 1)
     return CharacteristicElement(p=p, mu=sum(mu_list), factors=tuple(factors))
 
 
@@ -184,15 +175,17 @@ def weierstrass_prepare(f: PadicSeries) -> tuple[IwasawaInvariants, bool]:
     part is a unit mod p, which holds for every residue of valuation < prec.
 
     Raises InsufficientCoeffPrecision when every declared coefficient is
-    0 mod p^prec (mu >= prec, undetermined).
+    0 mod p^prec (mu >= prec, undetermined).  The least valuation is that of
+    the coefficients' gcd, so one valuation is taken, not one per coefficient.
     """
-    vals = [f.prec if c == 0 else arith.padic_valuation(c, f.p) for c in f.coeffs]
-    mu = min(vals)
-    if mu >= f.prec:
+    g = gcd(*f.coeffs)
+    if g == 0:
         raise InsufficientCoeffPrecision(
             f"all {f.length} coefficients vanish mod {f.p}^{f.prec}"
         )
-    return IwasawaInvariants(mu=mu, lam=vals.index(mu)), True
+    mu = arith.padic_valuation(g, f.p)
+    pivot = f.p ** (mu + 1)
+    return IwasawaInvariants(mu=mu, lam=next(i for i, c in enumerate(f.coeffs) if c % pivot)), True
 
 
 def expand_char_element(ce: CharacteristicElement, prec: int, length: int) -> PadicSeries:
@@ -203,10 +196,8 @@ def expand_char_element(ce: CharacteristicElement, prec: int, length: int) -> Pa
     otherwise); then weierstrass_prepare recovers (mu, lambda) exactly
     whenever prec > ce.mu.
     """
-    if not isinstance(length, int) or length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if not isinstance(prec, int) or prec < 1:
-        raise ValueError(f"precision must be >= 1, got {prec}")
+    arith.check_int(length, "length", 1)
+    arith.check_int(prec, "precision", 1)
     if length <= ce.lam:
         raise LengthTooShort(
             f"length {length} cannot hold a distinguished part of degree {ce.lam}"

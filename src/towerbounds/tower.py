@@ -37,8 +37,6 @@ from enum import Enum
 from . import arith, curve, cyclotomic
 from .errors import NotGoodOrdinary, SmallBadPrime
 
-DEFAULT_DIMENSION = {"falsetate": 2, "torsion": 4}
-
 
 class TowerKind(Enum):
     ZPD_COMPOSITE = "zpd"
@@ -64,16 +62,12 @@ class TowerSpec:
     assume_mhg: bool = False
 
     def __post_init__(self):
-        if not arith.is_prime(self.p) or self.p < 5:
-            raise ValueError(f"tower prime must be a prime >= 5, got {self.p}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 2:
-            raise ValueError(f"tower dimension must be an integer >= 2, got {self.d}")
+        arith.check_prime(self.p, "tower prime", 5)
+        arith.check_int(self.d, "tower dimension", 2)
         if self.kind is TowerKind.FALSE_TATE:
             if self.d != 2:
                 raise ValueError("false-Tate towers have dimension 2")
-            if self.ell is None or not arith.is_prime(self.ell):
-                raise ValueError(f"false-Tate tower needs a prime ell, got {self.ell}")
-            if self.ell == self.p:
+            if arith.check_prime(self.ell, "false-Tate ell") == self.p:
                 raise ValueError("false-Tate ell must differ from p")
         elif self.kind is TowerKind.TORSION_FIELD:
             if self.d != 4:
@@ -81,8 +75,8 @@ class TowerSpec:
         elif self.kind is TowerKind.GENERIC:
             seen = set()
             for ell in self.ramified_primes:
-                if not arith.is_prime(ell) or ell == self.p:
-                    raise ValueError(f"ramified prime {ell} must be a prime != {self.p}")
+                if arith.check_prime(ell, "ramified prime") == self.p:
+                    raise ValueError(f"ramified prime {ell} must differ from p")
                 if ell in seen:
                     raise ValueError(f"duplicate ramified prime {ell}")
                 seen.add(ell)
@@ -113,16 +107,12 @@ class TowerSpec:
 
 def cyc_layer_degree(spec: TowerSpec, n: int) -> int:
     """[level-n layer : base] over the cyclotomic line: p^((d-1)*n)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level must be an integer >= 0, got {n}")
-    return spec.p ** ((spec.d - 1) * n)
+    return spec.p ** ((spec.d - 1) * arith.check_int(n, "level", 0))
 
 
 def full_layer_degree(spec: TowerSpec, n: int) -> int:
     """[level-n layer : base] over Q: p^(d*n)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level must be an integer >= 0, got {n}")
-    return spec.p ** (spec.d * n)
+    return spec.p ** (spec.d * arith.check_int(n, "level", 0))
 
 
 @dataclass(frozen=True)
@@ -141,13 +131,12 @@ class QSets:
     def __post_init__(self):
         for q, wits, tag in ((self.q1, self.witnesses_q1, "q1"),
                              (self.q2, self.witnesses_q2, "q2")):
-            if q < 0:
-                raise ValueError(f"{tag} must be >= 0, got {q}")
+            arith.check_int(q, tag, 0)
+            for ell, c in wits:
+                arith.check_int(ell, "witness prime")
+                arith.check_int(c, f"witness count for {ell}", 1)
             if sum(c for _, c in wits) != q:
                 raise ValueError(f"{tag}={q} does not match witness counts {wits}")
-            for ell, c in wits:
-                if c < 1:
-                    raise ValueError(f"witness count for {ell} must be >= 1")
         primes = [ell for ell, _ in self.witnesses_q1 + self.witnesses_q2]
         if len(primes) != len(set(primes)):
             raise ValueError(f"witness primes must be pairwise distinct: {primes}")

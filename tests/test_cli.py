@@ -85,6 +85,17 @@ TAMPERS = {
     "bounds_lambda_lower": ("bounds", _row(1, lambda_lower=1)),
     "bounds_hung_lim_upper": ("bounds_torsion", _row(1, hung_lim_upper=1)),
     "density_decimal": ("density", lambda o: o.update(decimal="0.0001")),
+    # JSON types: 2401.0 == 2401 in Python, but not in the report
+    "count_float_ell": ("count", lambda o: o.update(ell=float(o["ell"]))),
+    "splitting_float_g_inf": ("splitting", lambda o: o.update(g_inf=float(o["g_inf"]))),
+    "bounds_float_cyc_degree": ("bounds", lambda o: o["rows"][2].update(
+        cyc_degree=float(o["rows"][2]["cyc_degree"]))),
+    "density_float_p": ("density", lambda o: o.update(p=float(o["p"]))),
+    "density_float_limit": ("density", lambda o: o.update(limit=float(o["limit"]))),
+    # 9^1 + 1 - 0 = 10 holds, but 9 is no prime
+    "count_composite_ell": ("count", lambda o: o.update(ell=9, count=10, trace=0)),
+    # refused from the sizes alone: 7^(10^9) is never built
+    "count_huge_k": ("count", lambda o: o.update(k=10**9)),
     "density_mode": ("density", lambda o: o.update(mode="both")),
 }
 
@@ -264,6 +275,12 @@ class TestSplitting:
                                "--json")
         assert code == 0
         validate_report_json(json.loads(out))
+
+    def test_large_tower_prime(self, capsys):
+        # f = p - 1 has 13 digits: m comes from residues mod p^(m + 1), not 3^f
+        code, out, _ = run_cli(capsys, "splitting", "--ell", "3", "--p", "1000000000039")
+        assert code == 0
+        assert out.strip() == "ell=3 p=1000000000039 f=1000000000038 m=1 g_inf=1"
 
     def test_equal_primes(self, capsys):
         code, _, err = run_cli(capsys, "splitting", "--ell", "7", "--p", "7")
@@ -461,6 +478,23 @@ class TestKida:
                                "--assume-mhg", "--ram", "P3:7^1")
         assert code == 2
         assert "usage error:" in err
+
+
+_KIDA = ("kida", "--tower", "falsetate:11", "--p", "7", "--n", "1", "--lambda0", "0",
+         "--assume-mhg", "--ram")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((*_KIDA, "P1:7"), "must look like e^count"),
+    ((*_KIDA, "P1:x^1"), "non-integer in ramification item"),
+    (("qsets", "11a2", "--tower", "zpd:", "--p", "7"), "zpd tower needs a dimension"),
+    (("qsets", "11a2", "--tower", "falsetate:", "--p", "7"), "falsetate tower needs a prime"),
+    (("qsets", "11a2", "--tower", "torsion:x", "--p", "7"), "torsion tower takes no parameter"),
+])
+def test_malformed_ram_or_tower_text(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and message in err
 
 
 class TestWprep:

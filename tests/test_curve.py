@@ -149,6 +149,13 @@ class TestCountPoints:
         with pytest.raises(BadReduction):
             count_points(curve_11a2, 11)
 
+    @pytest.mark.parametrize("ainvs,ell", [((0, 0, 0, 0, 1), 2), ((0, 0, 0, 0, 1), 3),
+                                           ((0, 0, 0, 1, 0), 2)])
+    def test_bad_reduction_at_2_and_3(self, ainvs, ell):
+        # y^2 = x^3 + 1 has disc -432 = -2^4 3^3, y^2 = x^3 + x disc -64
+        with pytest.raises(BadReduction):
+            count_points(make_curve(*ainvs), ell)
+
     def test_char_2_and_3(self, curve_11a3):
         # brute force path
         assert count_points(curve_11a3, 2).count == brute_count_projective(
@@ -437,7 +444,8 @@ class TestKernelIdentities:
         self.check_quadratic_extension(corpus["389a1"].curve, ell)
 
     def test_cm_curve_near_10_to_13(self, corpus):
-        # cm432's first certificate point has order 3 here, and the
-        # certificate then walks the Hasse interval, 4 sqrt(ell) wide, in
-        # steps of 3; that grows like sqrt(ell), so this check stops at 10^13
-        self.check_cm(corpus, _LARGE_PRIMES[0])
+        # at 10^13 and 10^15 cm432's first certificate point has order 3, so
+        # the multiples of the lcm in the Hasse interval are found in steps
+        # of 3; the scan stops at the second hit, which comes at once
+        for ell in _LARGE_PRIMES:
+            self.check_cm(corpus, ell)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import brute_multiplicative_order
-from towerbounds.arith import euler_phi
+from towerbounds.arith import euler_phi, is_prime, multiplicative_order, padic_valuation
 from towerbounds.cyclotomic import splitting_finite, splitting_infinite
 from towerbounds.errors import EqualPrimes
 
@@ -36,7 +38,20 @@ class TestSplittingFinite:
             splitting_finite(11, 7, 0)
 
 
+_PRIMES = [q for q in range(2, 3000) if is_prime(q)]
+
+
 class TestSplittingInfinite:
+    @given(st.sampled_from(_PRIMES), st.sampled_from([q for q in _PRIMES[2:] if q < 60]))
+    @example(7, 5)    # 7^4 - 1 = 2400 = 5^2 * 96: m = 2
+    @example(3, 11)   # 3^5 - 1 = 242 = 2 * 11^2: m = 2
+    @example(251, 5)  # 251 - 1 = 2 * 5^3: m = 3
+    def test_stable_level_is_valuation_of_ell_f_minus_1(self, ell, p):
+        if ell == p:
+            return
+        f = multiplicative_order(ell, p)
+        assert splitting_infinite(ell, p).stable_level == padic_valuation(ell**f - 1, p)
+
     def test_known_case(self):
         data = splitting_infinite(11, 7)
         assert data.residue_order == 3

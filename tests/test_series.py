@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import random_distinguished, random_unit_series, schoolbook_product
+from towerbounds.arith import padic_valuation
 from towerbounds.errors import (
     InsufficientCoeffPrecision,
     LengthTooShort,
@@ -54,6 +55,10 @@ class TestPadicSeries:
 
 
 class TestDistinguishedPoly:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty coefficient list"):
+            DistinguishedPoly(5, ())
+
     def test_monic_required(self):
         with pytest.raises(ValueError):
             DistinguishedPoly(p=5, coeffs=(5, 2))
@@ -207,6 +212,18 @@ class TestWeierstrassPrepare:
         inv, _ = weierstrass_prepare(s)
         assert inv.mu == 2
         assert inv.lam == 0
+
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 6), st.data())
+    def test_least_valuation_and_its_first_index(self, p, prec, data):
+        coeffs = data.draw(st.lists(st.integers(0, p**prec - 1), min_size=1, max_size=12))
+        vals = [prec if c == 0 else padic_valuation(c, p) for c in coeffs]
+        s = PadicSeries(p=p, prec=prec, coeffs=tuple(coeffs))
+        if min(vals) == prec:
+            with pytest.raises(InsufficientCoeffPrecision):
+                weierstrass_prepare(s)
+        else:
+            inv, _ = weierstrass_prepare(s)
+            assert (inv.mu, inv.lam) == (min(vals), vals.index(min(vals)))
 
     def test_all_zero_is_precision_error(self):
         s = PadicSeries(p=5, prec=2, coeffs=(0, 0, 0))
