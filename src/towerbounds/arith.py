@@ -36,7 +36,7 @@ def check_int(value, what: str, lo: int | None = None) -> int:
 
 def check_prime(value, what: str, lo: int = 2) -> int:
     """``value`` when check_int accepts it with bound ``lo`` and it is prime."""
-    if not is_prime(check_int(value, what, lo)):
+    if not _is_prime(check_int(value, what, lo)):
         raise ValueError(f"{what} must be a prime >= {lo}, got {value!r}")
     return value
 
@@ -47,6 +47,11 @@ def is_prime(n: int) -> bool:
     Comp. 35, 1980), 2..17 below 341,550,071,728,321 (Jaeschke, Math. Comp. 61,
     1993) and the primes to 41 below MR_CERTIFIED_BOUND (Sorenson and Webster,
     Math. Comp. 86, 2017)."""
+    return _is_prime(check_int(n, "primality argument"))
+
+
+def _is_prime(n: int) -> bool:
+    # n is an int; check_prime and factorize call this without a second check
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -140,7 +145,7 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.  n must be nonzero; a
     cofactor past MR_CERTIFIED_BOUND raises UncertifiedPrimality."""
-    if n == 0:
+    if check_int(n, "factorization argument") == 0:
         raise ZeroInput("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
@@ -162,7 +167,7 @@ def factorize(n: int) -> dict[int, int]:
             continue
         if m >= MR_CERTIFIED_BOUND:
             raise UncertifiedPrimality(f"cofactor {m} is past the certified primality bound")
-        if is_prime(m):
+        if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         r = isqrt(m)

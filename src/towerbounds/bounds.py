@@ -29,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import arith
 from . import curve as curve_mod
 from .errors import HypothesisNotDeclared, InvalidRamification, WrongTowerKind
-from .tower import QSets, TowerKind, TowerSpec, compute_qsets, cyc_layer_degree
+from .tower import (QSets, TowerKind, TowerSpec, _check_layer_bits, compute_qsets,
+                    cyc_layer_degree)
 
 #: ceiling on report depth and Kida level; degrees grow like p^((d-1)n)
 DEFAULT_LEVEL_CAP = 12
@@ -60,6 +62,8 @@ class BaseInvariants:
     def __post_init__(self):
         arith.check_int(self.mu0, "mu0", 0)
         arith.check_int(self.lambda0, "lambda0", 0)
+        if not isinstance(self.selmer_zero, bool):
+            raise ValueError(f"selmer_zero must be a bool, got {self.selmer_zero!r}")
         if not isinstance(self.provenance, str) or not self.provenance.strip():
             raise ValueError("base invariants need a non-empty provenance note")
         if self.selmer_zero and (self.mu0 or self.lambda0):
@@ -134,12 +138,14 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
 
     Validates that every ramification index is a power of p and at most
     p^level (InvalidRamification otherwise).  Conditional on assume_mhg.  A
-    level past DEFAULT_LEVEL_CAP raises ValueError before any power is built.
+    level past DEFAULT_LEVEL_CAP raises ValueError, and a layer degree past
+    tower.LAYER_BIT_BUDGET LimitTooLarge, before any power is built.
     """
     _require_hypothesis(spec)
     n = ram.level
     if n > DEFAULT_LEVEL_CAP:
         raise ValueError(f"level={n} exceeds level cap {DEFAULT_LEVEL_CAP}")
+    _check_layer_bits(spec.p, (spec.d - 1) * n)
     cap = spec.p**n
     extra = 0
     for weight, entries, tag in ((1, ram.split_mult, "split_mult"),
@@ -161,12 +167,15 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
 
 def hung_lim_bound(base: BaseInvariants, spec: TowerSpec, q: QSets, n: int) -> int:
     """Published comparison bound for torsion-field towers:
-    (lambda0 + q1) * p^(3n) + 8.  WrongTowerKind for any other kind."""
+    (lambda0 + q1) * p^(3n) + 8.  WrongTowerKind for any other kind, and
+    LimitTooLarge when p^(3n) passes tower.LAYER_BIT_BUDGET."""
     if spec.kind is not TowerKind.TORSION_FIELD:
         raise WrongTowerKind(
             f"comparison bound applies to torsion-field towers, not {spec.kind.value}"
         )
-    return _hung_lim(base.lambda0, q, spec.p ** (3 * arith.check_int(n, "level", 0)))
+    e = 3 * arith.check_int(n, "level", 0)
+    _check_layer_bits(spec.p, e)
+    return _hung_lim(base.lambda0, q, spec.p**e)
 
 
 def selmer_zero_propagation(base: BaseInvariants, q: QSets) -> SelmerVerdict:
@@ -177,10 +186,10 @@ def selmer_zero_propagation(base: BaseInvariants, q: QSets) -> SelmerVerdict:
     return SelmerVerdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     """One report line: level, layer degree, exact mu, lambda window, rank
-    bound, optional comparison bound."""
+    bound, optional comparison bound.  A NamedTuple: immutable, and cheaper
+    to build than a frozen dataclass."""
 
     n: int
     cyc_degree: int
@@ -230,27 +239,28 @@ def assemble_report(label: str | None, spec: TowerSpec, base: BaseInvariants,
 
     Rows use the conditional formulas, except that an unconditional
     ALL_LEVELS_ZERO verdict (zero base data, empty q-sets) needs no declared
-    hypothesis.
+    hypothesis.  LimitTooLarge when the layer degree at n_max passes
+    tower.LAYER_BIT_BUDGET.
     """
     _check_n_max(n_max)
     verdict = selmer_zero_propagation(base, q)
     if verdict is not SelmerVerdict.ALL_LEVELS_ZERO:
         _require_hypothesis(spec)
+    p, d = spec.p, spec.d
+    _check_layer_bits(p, (d - 1) * n_max)
     torsion = spec.kind is TowerKind.TORSION_FIELD
+    # D_n = p^((d-1)n) and p^((d-2)n), carried forward one level at a time; a
+    # torsion tower has d = 4, so p^(3n) = D_n
+    step, small_step = p ** (d - 1), p ** (d - 2)
+    deg = small = 1
     rows = []
     for n in range(n_max + 1):
-        # each level's p-powers once; a torsion tower has d = 4, so p^(3n) = deg
-        deg = spec.p ** ((spec.d - 1) * n)
-        lo, hi = _lambda_window(base.lambda0, q, deg, spec.p ** ((spec.d - 2) * n))
-        row = GrowthRow(
-            n=n,
-            cyc_degree=deg,
-            mu=deg * base.mu0,
-            lambda_lower=lo,
-            lambda_upper=hi,
-            rank_upper=hi,
-            hung_lim_upper=_hung_lim(base.lambda0, q, deg) if torsion else None,
-        )
+        if n:
+            deg *= step
+            small *= small_step
+        lo, hi = _lambda_window(base.lambda0, q, deg, small)
+        row = GrowthRow(n, deg, deg * base.mu0, lo, hi, hi,
+                        _hung_lim(base.lambda0, q, deg) if torsion else None)
         row.validate()
         rows.append(row)
     return GrowthBoundReport(label=label, spec=spec, base=base, qsets=q,

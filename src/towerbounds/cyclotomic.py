@@ -47,25 +47,24 @@ def splitting_finite(ell: int, p: int, level: int) -> int:
     """Number of primes above ell at finite level: phi(p^level)/ord_{p^level}(ell).
 
     Past the stable level m >= 1 the order is f * p^(level - m), so from level
-    m + 2 on this is splitting_infinite's g, cross-checked at m and m + 1."""
+    m + 2 on this is splitting_infinite's g, whose order certificate covers
+    levels m and m + 1; below m + 2 the order is computed."""
     _check_pair(ell, p)
     if arith.check_int(level, "level", 1) > 2:
         data = _splitting_infinite(ell, p)
         if level > data.stable_level + 1:
             return data.num_primes
-    return _splitting_finite(ell, p, level)
-
-
-def _splitting_finite(ell: int, p: int, level: int) -> int:
-    # the private helpers take ell and p already checked
     return (p - 1) * p ** (level - 1) // arith.multiplicative_order(ell, p**level)
 
 
 def splitting_infinite(ell: int, p: int) -> SplittingData:
     """Stable splitting data of ell in the p-cyclotomic tower.
 
-    The result is cross-checked against splitting_finite at the stabilizing
-    level and the next one; disagreement raises InternalInvariantViolation.
+    The result carries an order certificate, ell^(f p) = 1 mod p^(m + 1): with
+    f = ord_p(ell) and ell^f != 1 mod p^(m + 1) it proves that ell has order f
+    mod p^m and f p mod p^(m + 1), so g_m = g_(m + 1) = g_inf, and lifting the
+    exponent (p >= 5) carries the order's growth by p to every later level.
+    A failed certificate raises InternalInvariantViolation.
     """
     _check_pair(ell, p)
     return _splitting_infinite(ell, p)
@@ -77,10 +76,9 @@ def _splitting_infinite(ell: int, p: int) -> SplittingData:
     m = 1
     while pow(ell, f, p ** (m + 1)) == 1:
         m += 1
+    if pow(ell, f * p, p ** (m + 1)) != 1:
+        raise InternalInvariantViolation(
+            f"splitting of {ell} in the {p}-tower not stable at level {m + 1}"
+        )
     g = ((p - 1) // f) * p ** (m - 1)
-    for level in (m, m + 1):
-        if _splitting_finite(ell, p, level) != g:
-            raise InternalInvariantViolation(
-                f"splitting of {ell} in the {p}-tower not stable at level {level}"
-            )
     return SplittingData(ell=ell, p=p, residue_order=f, stable_level=m, num_primes=g)

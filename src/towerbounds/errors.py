@@ -28,7 +28,8 @@ class ZeroInput(DomainError):
 
 
 class LimitTooLarge(DomainError):
-    """An input exceeds a documented size budget (sieve limit, extension count)."""
+    """An input exceeds a documented size budget (sieve limit, extension count,
+    layer degree)."""
 
 
 class UncertifiedPrimality(DomainError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import arith, curve, cyclotomic
-from .errors import NotGoodOrdinary, SmallBadPrime
+from .errors import LimitTooLarge, NotGoodOrdinary, SmallBadPrime
 
 
 class TowerKind(Enum):
@@ -84,6 +84,8 @@ class TowerSpec:
             raise ValueError(f"{self.kind.value} tower takes no ell parameter")
         if self.kind is not TowerKind.GENERIC and self.ramified_primes:
             raise ValueError(f"{self.kind.value} tower takes no ramified-prime list")
+        if not isinstance(self.assume_mhg, bool):
+            raise ValueError(f"assume_mhg must be a bool, got {self.assume_mhg!r}")
 
     @classmethod
     def zpd_composite(cls, p: int, d: int, *, assume_mhg: bool = False) -> "TowerSpec":
@@ -105,14 +107,32 @@ class TowerSpec:
                    assume_mhg=assume_mhg)
 
 
+# Largest e * bitlen(p) a layer degree p^e may take, as curve.EXT_BIT_BUDGET
+# bounds a count: p^e then has at most 3,011 digits, under CPython's default
+# int-to-str limit of 4,300.
+LAYER_BIT_BUDGET = 10_000
+
+
+def _check_layer_bits(p: int, e: int) -> None:
+    """LimitTooLarge when p^e would pass LAYER_BIT_BUDGET; nothing is built."""
+    if e * p.bit_length() > LAYER_BIT_BUDGET:
+        raise LimitTooLarge(f"e * bitlen(p) = {e * p.bit_length()} exceeds the budget "
+                            f"LAYER_BIT_BUDGET = {LAYER_BIT_BUDGET} for a layer degree {p}^{e}")
+
+
 def cyc_layer_degree(spec: TowerSpec, n: int) -> int:
-    """[level-n layer : base] over the cyclotomic line: p^((d-1)*n)."""
-    return spec.p ** ((spec.d - 1) * arith.check_int(n, "level", 0))
+    """[level-n layer : base] over the cyclotomic line: p^((d-1)*n).
+    LimitTooLarge past LAYER_BIT_BUDGET."""
+    e = (spec.d - 1) * arith.check_int(n, "level", 0)
+    _check_layer_bits(spec.p, e)
+    return spec.p**e
 
 
 def full_layer_degree(spec: TowerSpec, n: int) -> int:
-    """[level-n layer : base] over Q: p^(d*n)."""
-    return spec.p ** (spec.d * arith.check_int(n, "level", 0))
+    """[level-n layer : base] over Q: p^(d*n).  LimitTooLarge past LAYER_BIT_BUDGET."""
+    e = spec.d * arith.check_int(n, "level", 0)
+    _check_layer_bits(spec.p, e)
+    return spec.p**e
 
 
 @dataclass(frozen=True)
@@ -148,6 +168,11 @@ def _classify_at(E: curve.WeierstrassCurve, ell: int, p: int) -> tuple[int, int]
     Counts are numbers of primes above ell on the cyclotomic line.  A bad
     prime below 5 cannot be classified (SmallBadPrime).  TowerSpec has proved
     ell and p prime and ell != p, so the unchecked helpers are called.
+
+    At a good prime the residue degree is f = ord_p(ell), so ell^f = 1 mod p
+    and #E(F_{ell^f}) = ell^f + 1 - s_f = 2 - s_f mod p: the test takes s_f mod
+    p from curve._trace_mod in O(log f) steps, and never builds a count of
+    size ell^f.
     """
     if ell < 5:
         if E.disc % ell == 0:
@@ -162,8 +187,8 @@ def _classify_at(E: curve.WeierstrassCurve, ell: int, p: int) -> tuple[int, int]
         return g, 0
     if rt is curve.ReductionType.GOOD:
         data = cyclotomic._splitting_infinite(ell, p)
-        count = curve._extend(curve._count_points(E, ell), data.residue_order).count
-        if count % p == 0:
+        s_f = curve._trace_mod(curve._count_points(E, ell), data.residue_order, p)
+        if (2 - s_f) % p == 0:
             return 0, data.num_primes
         return 0, 0
     return 0, 0

@@ -39,6 +39,8 @@ CASES = {
     "arith.legendre_symbol a": (lambda v: arith.legendre_symbol(v, 7), 2, None),
     "arith.legendre_symbol ell": (lambda v: arith.legendre_symbol(2, v), 7, 3),
     "arith.euler_phi n": (arith.euler_phi, 12, 1),
+    "arith.is_prime n": (arith.is_prime, 7, None),
+    "arith.factorize n": (arith.factorize, 12, None),
     "arith.multiplicative_order a": (lambda v: arith.multiplicative_order(v, 7), 3, None),
     "arith.multiplicative_order m": (lambda v: arith.multiplicative_order(3, v), 7, 2),
     "bounds.BaseInvariants mu0": (lambda v: bounds.BaseInvariants(v, 0, False, "t"), 1, 0),

@@ -3,12 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from towerbounds.bounds import (
     BaseInvariants,
     GrowthRow,
     RamificationData,
     SelmerVerdict,
+    assemble_report,
     growth_report,
     hung_lim_bound,
     kida_lambda,
@@ -20,9 +23,10 @@ from towerbounds.bounds import (
 from towerbounds.errors import (
     HypothesisNotDeclared,
     InvalidRamification,
+    LimitTooLarge,
     WrongTowerKind,
 )
-from towerbounds.tower import QSets, TowerSpec
+from towerbounds.tower import QSets, TowerKind, TowerSpec, cyc_layer_degree
 
 
 def base(mu0=0, lambda0=0, selmer_zero=False):
@@ -63,6 +67,11 @@ class TestBaseInvariants:
             BaseInvariants(mu0=0, lambda0=2, selmer_zero=True, provenance="x")
         b = BaseInvariants(mu0=0, lambda0=0, selmer_zero=True, provenance="x")
         assert b.selmer_zero
+
+    @pytest.mark.parametrize("flag", [0, 1, None, "true"])
+    def test_selmer_zero_is_a_bool(self, flag):
+        with pytest.raises(ValueError, match="selmer_zero must be a bool"):
+            BaseInvariants(mu0=0, lambda0=0, selmer_zero=flag, provenance="x")
 
 
 class TestMuGrowth:
@@ -256,3 +265,63 @@ class TestGrowthReport:
         with pytest.raises(ValueError):
             GrowthRow(n=1, cyc_degree=7, mu=0, lambda_lower=5,
                       lambda_upper=3, rank_upper=3).validate()
+
+
+_TOWER_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def _report_inputs(draw):
+    p = draw(st.sampled_from(_TOWER_PRIMES))
+    kind = draw(st.sampled_from(("zpd", "torsion", "generic")))
+    if kind == "zpd":
+        spec = TowerSpec.zpd_composite(p, draw(st.integers(2, 6)), assume_mhg=True)
+    elif kind == "torsion":
+        spec = TowerSpec.torsion_field(p, assume_mhg=True)
+    else:
+        spec = TowerSpec.generic(p, draw(st.integers(2, 6)), [], assume_mhg=True)
+    q1, q2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    q = QSets(q1, q2, ((2, q1),) if q1 else (), ((3, q2),) if q2 else ())
+    zero = draw(st.booleans())
+    b = base(selmer_zero=True) if zero else base(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    return spec, b, q, draw(st.integers(0, 12))
+
+
+class TestAssembleReport:
+    @given(_report_inputs())
+    def test_rows_match_level_formulas(self, inputs):
+        # the level recurrence against the per-level powers of the public formulas
+        spec, b, q, n_max = inputs
+        rows = assemble_report("t", spec, b, q, n_max).rows
+        assert [r.n for r in rows] == list(range(n_max + 1))
+        for r in rows:
+            assert r.cyc_degree == cyc_layer_degree(spec, r.n)
+            assert r.mu == mu_growth(b, spec, r.n)
+            assert (r.lambda_lower, r.lambda_upper) == lambda_bounds(b, spec, q, r.n)
+            assert r.rank_upper == rank_bound(b, spec, q, r.n)
+            if spec.kind is TowerKind.TORSION_FIELD:
+                assert r.hung_lim_upper == hung_lim_bound(b, spec, q, r.n)
+            else:
+                assert r.hung_lim_upper is None
+
+    def test_row_is_an_immutable_named_tuple(self):
+        row = GrowthRow(n=0, cyc_degree=1, mu=0, lambda_lower=0, lambda_upper=0, rank_upper=0)
+        assert row.hung_lim_upper is None
+        assert repr(row) == ("GrowthRow(n=0, cyc_degree=1, mu=0, lambda_lower=0, "
+                             "lambda_upper=0, rank_upper=0, hung_lim_upper=None)")
+        with pytest.raises(AttributeError):
+            row.mu = 1
+
+    def test_layer_degree_past_bit_budget(self):
+        # 7^(999 * 12): 35,964 bits, refused before the rows are built
+        spec = TowerSpec.zpd_composite(7, 1000, assume_mhg=True)
+        with pytest.raises(LimitTooLarge, match="LAYER_BIT_BUDGET"):
+            assemble_report("t", spec, base(), QSets(0, 0), 12)
+        assert len(assemble_report("t", spec, base(), QSets(0, 0), 3).rows) == 4
+
+    def test_kida_and_hung_lim_past_bit_budget(self):
+        spec = TowerSpec.zpd_composite(7, 10**9, assume_mhg=True)
+        with pytest.raises(LimitTooLarge):
+            kida_lambda(base(), spec, RamificationData(level=12, split_mult=((7, 1),)))
+        with pytest.raises(LimitTooLarge):
+            hung_lim_bound(base(), TowerSpec.torsion_field(7), QSets(0, 0), 10**9)

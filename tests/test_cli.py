@@ -97,6 +97,9 @@ TAMPERS = {
     # refused from the sizes alone: 7^(10^9) is never built
     "count_huge_k": ("count", lambda o: o.update(k=10**9)),
     "density_mode": ("density", lambda o: o.update(mode="both")),
+    # flags are bools: 1 == True in Python, but a report's flag is true or false
+    "bounds_int_assume_mhg": ("bounds", lambda o: o.update(assume_mhg=1)),
+    "bounds_int_selmer_zero": ("bounds_zero", lambda o: o["base"].update(selmer_zero=1)),
 }
 
 
@@ -222,6 +225,14 @@ class TestQsets:
         assert lines[0] == "q1=2 q2=0"
         assert lines[1] == "q1_witnesses: 11:2"
         assert lines[2] == "q2_witnesses: (none)"
+
+    def test_large_residue_degree(self, capsys):
+        # 13 has order f = 500,001 mod p = 1,000,003: the q2 test works on
+        # residues mod p, never on #E(F_{13^f}), which has about 557,000 digits
+        code, out, _ = run_cli(capsys, "qsets", "11a1", "--tower", "falsetate:13",
+                               "--p", "1000003")
+        assert code == 0
+        assert out.splitlines()[0] == "q1=0 q2=0"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "qsets", "11a2", "--tower", "falsetate:11",
@@ -419,14 +430,37 @@ class TestBounds:
         assert obj["base"]["mu0"] == 0
 
     def test_error_leaves_no_partial_report(self, capsys):
-        # level 8 and up of zpd:2000 pass the int-to-str limit; nothing is
-        # written before the whole report has rendered
-        code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:2000",
-                                 "--p", "7", "--nmax", "12", "--lambda0", "0",
+        # lambda0 = 10^4290 renders at level 0, but 7^12 * lambda0 passes the
+        # int-to-str limit of 4,300 digits; nothing is written before the
+        # whole report has rendered
+        code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:2",
+                                 "--p", "7", "--nmax", "12", "--lambda0", str(10**4290),
                                  "--mu0", "0", "--assume-mhg")
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("tower", ["zpd:2000", "zpd:1000000"])
+    def test_layer_degree_past_bit_budget(self, capsys, tower):
+        # 1999 * 12 * bitlen(7) bits and more: refused before any power is built
+        code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", tower,
+                                 "--p", "7", "--nmax", "12", "--lambda0", "0",
+                                 "--mu0", "0", "--assume-mhg")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: LimitTooLarge:")
+        assert "LAYER_BIT_BUDGET" in err
+
+    def test_layer_degree_at_bit_budget(self, capsys):
+        # (d - 1) * 12 * bitlen(7) is 9,972 bits at d = 278, accepted, and
+        # 10,008 at d = 279, refused
+        argv = ["--p", "7", "--nmax", "12", "--lambda0", "0", "--mu0", "0", "--assume-mhg"]
+        code, out, _ = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:278", *argv)
+        assert code == 0
+        assert out.splitlines()[-1].split()[0] == "12"
+        code, _, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:279", *argv)
+        assert code == 1
+        assert "LimitTooLarge" in err
 
     def test_missing_base_data(self, capsys):
         # 11a3 carries no base invariants; flags are required
@@ -464,6 +498,14 @@ class TestKida:
                                "--assume-mhg", "--nmax", "13")
         assert code == 2
         assert "exceeds level cap 12" in err
+
+    def test_layer_degree_past_bit_budget(self, capsys):
+        code, out, err = run_cli(capsys, "kida", "--tower", "zpd:1000000000",
+                                 "--p", "7", "--n", "12", "--lambda0", "0",
+                                 "--assume-mhg", "--ram", "P1:7^1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: LimitTooLarge:")
 
     def test_invalid_ramification(self, capsys):
         code, _, err = run_cli(capsys, "kida", "--tower", "falsetate:11",

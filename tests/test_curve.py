@@ -3,7 +3,7 @@ from __future__ import annotations
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -223,6 +223,49 @@ class TestTorsionOverResidueField:
     def test_equal_primes(self, curve_11a3):
         with pytest.raises(EqualPrimes):
             has_p_torsion_over(curve_11a3, ell=5, p=5, k=1)
+
+
+_RESIDUE_AINVS = ((0, -1, 1, -10, -20), (0, -1, 1, 0, 0), (1, 1, 1, -10, -10),
+                  (0, 0, 1, -1, 0), (0, 1, 1, -2, 0), (0, 0, 0, 0, 1))
+_SMALL_PRIMES = [q for q in range(2, 200) if is_prime(q)]
+
+
+class TestResidueTrace:
+    """curve._trace_mod and has_p_torsion_over, which work on residues mod p,
+    against the exact trace recurrence of _extend and count_points_ext."""
+
+    @given(st.sampled_from(_RESIDUE_AINVS), st.sampled_from(_SMALL_PRIMES),
+           st.sampled_from(_SMALL_PRIMES), st.integers(1, 12))
+    @example((0, -1, 1, 0, 0), 31, 5, 4)  # the q2 witness of 11a3 in falsetate:31 at p = 5
+    def test_q2_residue_matches_extend(self, ainvs, ell, p, f):
+        E = make_curve(*ainvs)
+        assume(E.disc % ell and ell != p)
+        base = count_points(E, ell)
+        ext = curve_mod._extend(base, f)
+        s_f = curve_mod._trace_mod(base, f, p)
+        assert s_f == ext.trace % p
+        assert (pow(ell, f, p) + 1 - s_f) % p == ext.count % p
+        if pow(ell, f, p) == 1:
+            # the form tower._classify_at tests at f = ord_p(ell)
+            assert ((2 - s_f) % p == 0) == (ext.count % p == 0)
+
+    @given(st.sampled_from(_RESIDUE_AINVS), st.sampled_from(_SMALL_PRIMES),
+           st.sampled_from(_SMALL_PRIMES[:6]), st.integers(1, 8))
+    @example((0, -1, 1, 0, 0), 7, 5, 1)  # N_7 = 10: true
+    @example((0, -1, 1, 0, 0), 3, 7, 6)  # N_{3^6} = 720: false
+    def test_has_p_torsion_over_matches_exact_count(self, ainvs, ell, p, k):
+        E = make_curve(*ainvs)
+        assume(E.disc % ell and ell != p)
+        assert has_p_torsion_over(E, ell, p, k) == (count_points_ext(E, ell, k).count % p == 0)
+
+    def test_has_p_torsion_over_past_the_count_budget(self, curve_11a3):
+        # k * bitlen(13) = 4 * 10^12 bits, far past the count budget: no count is
+        # built.  13^k and the Frobenius matrix mod 7 have periods dividing
+        # #GL_2(F_7) = 2016, so the answer is the one at k mod 2016, counted exactly.
+        k = 10**12
+        assert k * (13).bit_length() > curve_mod.EXT_BIT_BUDGET
+        exact = count_points_ext(curve_11a3, 13, k % 2016).count
+        assert has_p_torsion_over(curve_11a3, 13, 7, k) == (exact % 7 == 0)
 
 
 class TestBadPrimes:

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from helpers import brute_multiplicative_order
 from towerbounds.arith import euler_phi, is_prime, multiplicative_order, padic_valuation
+from towerbounds import cyclotomic
 from towerbounds.cyclotomic import splitting_finite, splitting_infinite
-from towerbounds.errors import EqualPrimes
+from towerbounds.errors import EqualPrimes, InternalInvariantViolation
 
 
 class TestSplittingFinite:
@@ -51,6 +52,27 @@ class TestSplittingInfinite:
             return
         f = multiplicative_order(ell, p)
         assert splitting_infinite(ell, p).stable_level == padic_valuation(ell**f - 1, p)
+
+    @given(st.sampled_from(_PRIMES), st.sampled_from([q for q in _PRIMES[2:] if q < 60]))
+    @example(7, 5)
+    @example(251, 5)
+    def test_stable_count_matches_order_formula(self, ell, p):
+        # the order certificate's claim, recomputed: g_n = phi(p^n) / ord_{p^n}(ell)
+        # equals g_inf at levels m, m + 1 and m + 2
+        if ell == p:
+            return
+        data = splitting_infinite(ell, p)
+        m = data.stable_level
+        for n in (m, m + 1, m + 2):
+            assert euler_phi(p**n) // multiplicative_order(ell, p**n) == data.num_primes
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # 11 has order f = 3 mod 7 and m = 1; a wrong 11^(3 * 7) mod 49 is reported
+        real_pow = pow
+        monkeypatch.setattr(cyclotomic, "pow", lambda b, e, m: 2 if e == 21 else real_pow(b, e, m),
+                            raising=False)
+        with pytest.raises(InternalInvariantViolation, match="not stable at level 2"):
+            splitting_infinite(11, 7)
 
     def test_known_case(self):
         data = splitting_infinite(11, 7)

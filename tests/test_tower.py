@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from towerbounds.curve import make_curve
-from towerbounds.errors import NotGoodOrdinary, SmallBadPrime
+from towerbounds.errors import LimitTooLarge, NotGoodOrdinary, SmallBadPrime
 from towerbounds.tower import (
     QSets,
     TowerKind,
@@ -52,6 +52,11 @@ class TestTowerSpec:
         with pytest.raises(ValueError):
             TowerSpec.zpd_composite(5, 1)
 
+    @pytest.mark.parametrize("flag", [0, 1, None, "yes"])
+    def test_assume_mhg_is_a_bool(self, flag):
+        with pytest.raises(ValueError, match="assume_mhg must be a bool"):
+            TowerSpec.zpd_composite(5, 2, assume_mhg=flag)
+
 
 class TestLayerDegrees:
     def test_values(self):
@@ -64,6 +69,15 @@ class TestLayerDegrees:
         spec = TowerSpec.torsion_field(5)
         assert cyc_layer_degree(spec, 2) == 5**6
         assert full_layer_degree(spec, 2) == 5**8
+
+    def test_bit_budget(self):
+        # e * bitlen(7) <= LAYER_BIT_BUDGET = 10,000: 7^3333 is built, 7^3334 is not
+        spec = TowerSpec.zpd_composite(7, 3334)
+        assert cyc_layer_degree(spec, 1) == 7**3333
+        with pytest.raises(LimitTooLarge, match="LAYER_BIT_BUDGET"):
+            full_layer_degree(spec, 1)
+        with pytest.raises(LimitTooLarge):
+            cyc_layer_degree(TowerSpec.zpd_composite(7, 10**9), 12)
 
     def test_negative_level(self):
         spec = TowerSpec.zpd_composite(5, 2)
