@@ -163,8 +163,6 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m >= MR_CERTIFIED_BOUND:
             raise UncertifiedPrimality(f"cofactor {m} is past the certified primality bound")
         if _is_prime(m):

@@ -33,12 +33,25 @@ from typing import NamedTuple
 
 from . import arith
 from . import curve as curve_mod
-from .errors import HypothesisNotDeclared, InvalidRamification, WrongTowerKind
+from .errors import HypothesisNotDeclared, InvalidRamification, LimitTooLarge, WrongTowerKind
 from .tower import (QSets, TowerKind, TowerSpec, _check_layer_bits, compute_qsets,
                     cyc_layer_degree)
 
 #: ceiling on report depth and Kida level; degrees grow like p^((d-1)n)
 DEFAULT_LEVEL_CAP = 12
+
+# Largest bit length of mu0, lambda0 and a Kida count.  A layer degree stays
+# under 2^LAYER_BIT_BUDGET = 2^10,000, so each mu, lambda bound and Kida term
+# stays under 2^14,001: at most 4,215 digits, within CPython's default
+# int-to-str limit of 4,300 even summed over 2^280 terms.
+BASE_BIT_BUDGET = 4_000
+
+
+def _check_base_bits(value: int, what: str) -> None:
+    """LimitTooLarge when ``value`` has more than BASE_BIT_BUDGET bits."""
+    if value.bit_length() > BASE_BIT_BUDGET:
+        raise LimitTooLarge(f"{what} has {value.bit_length()} bits, past the budget "
+                            f"BASE_BIT_BUDGET = {BASE_BIT_BUDGET}")
 
 
 class SelmerVerdict(Enum):
@@ -51,7 +64,8 @@ class BaseInvariants:
     """User-supplied base-level data with a mandatory provenance note.
 
     selmer_zero asserts the base fine Selmer group vanishes, which forces
-    mu0 = lambda0 = 0.
+    mu0 = lambda0 = 0.  mu0 or lambda0 past BASE_BIT_BUDGET bits raises
+    LimitTooLarge, so no level's values outgrow what prints.
     """
 
     mu0: int
@@ -60,8 +74,8 @@ class BaseInvariants:
     provenance: str
 
     def __post_init__(self):
-        arith.check_int(self.mu0, "mu0", 0)
-        arith.check_int(self.lambda0, "lambda0", 0)
+        _check_base_bits(arith.check_int(self.mu0, "mu0", 0), "mu0")
+        _check_base_bits(arith.check_int(self.lambda0, "lambda0", 0), "lambda0")
         if not isinstance(self.selmer_zero, bool):
             raise ValueError(f"selmer_zero must be a bool, got {self.selmer_zero!r}")
         if not isinstance(self.provenance, str) or not self.provenance.strip():
@@ -139,7 +153,8 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
     Validates that every ramification index is a power of p and at most
     p^level (InvalidRamification otherwise).  Conditional on assume_mhg.  A
     level past DEFAULT_LEVEL_CAP raises ValueError, and a layer degree past
-    tower.LAYER_BIT_BUDGET LimitTooLarge, before any power is built.
+    tower.LAYER_BIT_BUDGET LimitTooLarge, before any power is built; so does
+    a count past BASE_BIT_BUDGET bits.
     """
     _require_hypothesis(spec)
     n = ram.level
@@ -161,6 +176,7 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
                 )
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise InvalidRamification(f"{tag} count {count!r} must be >= 1")
+            _check_base_bits(count, f"{tag} count")
             extra += weight * count * (e - 1)
     return cyc_layer_degree(spec, n) * base.lambda0 + extra
 

@@ -14,7 +14,9 @@ Subcommands map one-to-one onto library operations:
 
 Each subcommand returns its whole output, text or a ``--json`` report built
 by ``report`` (``"schema": 1``); ``main`` renders it and writes it only once
-the command has succeeded, so a failure leaves stdout empty.
+the command has succeeded, so a failure leaves stdout empty.  Each body
+imports the library modules it uses, so a call pays only for those;
+``report`` is imported only for ``--json`` or a ``--tower`` argument.
 
 Exit codes: 0 success, 1 domain error (the error name goes to stderr),
 2 usage error.
@@ -26,13 +28,22 @@ import argparse
 import json
 import sys
 
-from . import bounds as bounds_mod
-from . import catalog, curve, cyclotomic, density, report, series, tower
 from .errors import DomainError
-from .report import validate_report_json  # noqa: F401  (re-exported for callers of cli)
 
 
-def _load_entry(args) -> catalog.CurveFileEntry:
+def __getattr__(name: str):
+    # validate_report_json is re-exported for callers of cli without making
+    # every CLI call import report
+    if name == "validate_report_json":
+        from .report import validate_report_json
+        return validate_report_json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_entry(args):
+    """The catalog.CurveFileEntry that args.label names."""
+    from . import catalog
+
     path = args.curves if args.curves else catalog.bundled_curve_path()
     table = catalog.load_curve_file(path)
     if args.label not in table:
@@ -41,8 +52,10 @@ def _load_entry(args) -> catalog.CurveFileEntry:
     return table[args.label]
 
 
-def _parse_ram(text: str, level: int) -> bounds_mod.RamificationData:
-    """Parse 'P1:e^count,e^count;P2:e^count' into RamificationData."""
+def _parse_ram(text: str, level: int):
+    """Parse 'P1:e^count,e^count;P2:e^count' into bounds.RamificationData."""
+    from . import bounds
+
     split_mult: list[tuple[int, int]] = []
     good_torsion: list[tuple[int, int]] = []
     for part in text.split(";"):
@@ -65,11 +78,15 @@ def _parse_ram(text: str, level: int) -> bounds_mod.RamificationData:
                 target.append((int(e_text), int(c_text)))
             except ValueError:
                 raise ValueError(f"non-integer in ramification item {item!r}") from None
-    return bounds_mod.RamificationData(level=level, split_mult=tuple(split_mult),
-                                       good_torsion=tuple(good_torsion))
+    return bounds.RamificationData(level=level, split_mult=tuple(split_mult),
+                                   good_torsion=tuple(good_torsion))
 
 
-def _resolve_base(args, entry: catalog.CurveFileEntry) -> bounds_mod.BaseInvariants:
+def _resolve_base(args, entry):
+    """bounds.BaseInvariants from the command line, else from the curve file
+    entry."""
+    from . import bounds
+
     lam = args.lambda0 if args.lambda0 is not None else entry.lambda0
     mu = args.mu0 if args.mu0 is not None else entry.mu0
     selmer = args.selmer_zero or bool(entry.selmer_zero)
@@ -84,8 +101,8 @@ def _resolve_base(args, entry: catalog.CurveFileEntry) -> bounds_mod.BaseInvaria
         notes.append("command-line input")
     if entry.provenance and (args.lambda0 is None or args.mu0 is None or entry.selmer_zero):
         notes.append(entry.provenance)
-    return bounds_mod.BaseInvariants(mu0=mu, lambda0=lam, selmer_zero=selmer,
-                                     provenance="; ".join(notes) or "command-line input")
+    return bounds.BaseInvariants(mu0=mu, lambda0=lam, selmer_zero=selmer,
+                                 provenance="; ".join(notes) or "command-line input")
 
 
 # --- subcommand bodies: each returns its whole output ----------------------
@@ -93,6 +110,7 @@ def _resolve_base(args, entry: catalog.CurveFileEntry) -> bounds_mod.BaseInvaria
 def _cmd_invariants(args) -> str | dict:
     E = _load_entry(args).curve
     if args.json:
+        from . import report
         return report.invariants_json(E)
     return (f"label={E.label}\nainvs={list(E.ainvs)}\n"
             f"b2={E.b2} b4={E.b4} b6={E.b6} b8={E.b8}\n"
@@ -100,38 +118,49 @@ def _cmd_invariants(args) -> str | dict:
 
 
 def _cmd_reduction(args) -> str:
+    from . import curve
+
     E = _load_entry(args).curve
     return f"ell={args.ell} type={curve.reduction_type(E, args.ell).value}"
 
 
 def _cmd_count(args) -> str | dict:
+    from . import curve
+
     E = _load_entry(args).curve
     pc = curve.count_points_ext(E, args.ell, args.ext)
     if args.json:
+        from . import report
         return report.count_json(E.label, pc)
     return f"ell={pc.ell} k={pc.k} count={pc.count} trace={pc.trace}"
 
 
 def _cmd_splitting(args) -> str | dict:
+    from . import cyclotomic
+
     if args.level is not None:
         g = cyclotomic.splitting_finite(args.ell, args.p, args.level)
         if args.json:
+            from . import report
             return report.splitting_finite_json(args.ell, args.p, args.level, g)
         return f"ell={args.ell} p={args.p} level={args.level} count={g}"
     data = cyclotomic.splitting_infinite(args.ell, args.p)
     if args.json:
+        from . import report
         return report.splitting_json(data)
     return (f"ell={data.ell} p={data.p} f={data.residue_order} "
             f"m={data.stable_level} g_inf={data.num_primes}")
 
 
-def _qsets_lines(q: tower.QSets) -> list[str]:
+def _qsets_lines(q) -> list[str]:
     return [f"q1={q.q1} q2={q.q2}"] + [
         f"{tag}_witnesses: " + (" ".join(f"{ell}:{c}" for ell, c in wits) or "(none)")
         for tag, wits in (("q1", q.witnesses_q1), ("q2", q.witnesses_q2))]
 
 
 def _cmd_qsets(args) -> str | dict:
+    from . import report, tower
+
     E = _load_entry(args).curve
     spec = report.parse_tower(args.tower, args.p, assume_mhg=False)
     q = tower.compute_qsets(E, spec)
@@ -141,10 +170,12 @@ def _cmd_qsets(args) -> str | dict:
 
 
 def _cmd_bounds(args) -> str | dict:
+    from . import bounds, report, tower
+
     entry = _load_entry(args)
     spec = report.parse_tower(args.tower, args.p, assume_mhg=args.assume_mhg)
     base = _resolve_base(args, entry)
-    rep = bounds_mod.growth_report(entry.curve, spec, base, args.nmax)
+    rep = bounds.growth_report(entry.curve, spec, base, args.nmax)
     if args.json:
         return report.bounds_json(rep)
     header = ["n", "cyc_degree", "mu", "lambda_min", "lambda_max", "rank_max", "hung_lim"]
@@ -167,20 +198,26 @@ def _cmd_bounds(args) -> str | dict:
 
 
 def _cmd_kida(args) -> str:
+    from . import bounds, report
+
     spec = report.parse_tower(args.tower, args.p, assume_mhg=args.assume_mhg)
-    base = bounds_mod.BaseInvariants(mu0=args.mu0 if args.mu0 is not None else 0,
-                                     lambda0=args.lambda0, selmer_zero=False,
-                                     provenance="command-line input")
-    lam = bounds_mod.kida_lambda(base, spec, _parse_ram(args.ram, args.n))
+    base = bounds.BaseInvariants(mu0=args.mu0 if args.mu0 is not None else 0,
+                                 lambda0=args.lambda0, selmer_zero=False,
+                                 provenance="command-line input")
+    lam = bounds.kida_lambda(base, spec, _parse_ram(args.ram, args.n))
     return f"level={args.n} lambda={lam}"
 
 
 def _cmd_wprep(args) -> str:
+    from . import series
+
     inv, _unit_checked = series.weierstrass_prepare(series.series_from_text(args.series))
     return f"mu={inv.mu} lambda={inv.lam}"
 
 
 def _cmd_density(args) -> str | dict:
+    from . import density
+
     E = _load_entry(args).curve
     scan = (density.scan_torsion_density if args.mode == "torsion"
             else density.scan_q_vanishing)
@@ -189,6 +226,7 @@ def _cmd_density(args) -> str | dict:
         return "\n".join(["ell,count_mod_p,hit", *(
             f"{row.ell},{row.count_mod_p},{1 if row.hit else 0}" for row in rep.rows)])
     if args.json:
+        from . import report
         return report.density_json(rep)
     return (f"label={rep.label} p={rep.p} mode={rep.mode} limit={rep.limit}\n"
             f"total={rep.total} hits={rep.hits} "
@@ -281,7 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("torsion", "qvanish"), required=True)
     p.add_argument("--csv", action="store_true", help="emit per-prime CSV rows")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="processes, this one included (default 1); each takes a stride "
+                        "share of at least 256 primes, and the scan runs serially "
+                        "where os.fork is absent")
     p.set_defaults(func=_cmd_density)
 
     return top

@@ -30,8 +30,6 @@ from enum import Enum
 from itertools import islice
 from math import isqrt
 
-import numpy  # noqa: F401  -- unused; bench/layers.py times this import
-
 from . import arith
 from .errors import (
     BadReduction,

@@ -14,9 +14,16 @@ GL_2(F_p), Chebotarev gives the torsion-scan limit (p^2 - 2)/((p-1)(p^2-1))
 Counts, hits and fractions are exact integers/rationals; per-prime work is
 curve.frobenius_trace, the certified kernel behind curve.count_points,
 called directly because the scan has already dropped the bad primes.
-Chunks of 512 primes go to min(workers, full chunks, os.cpu_count()) worker
-processes, forked where possible, or run serially if that is at most 1; the
-merge is by position, so results do not depend on the worker count.
+
+Process model: a scan runs on procs = min(workers, primes // _MIN_SHARE,
+os.cpu_count()) processes, this one included.  Share i is the stride
+ells[i::procs].  This process computes share 0 and forks one child per
+other share; each child sends its counts, or the exception it raised,
+through a pipe and leaves by os._exit.  This process kills its children if
+anything fails, and reaps every child before the scan returns.  With procs
+at most 1, or where os.fork is absent, the scan runs serially and starts no
+process.  The merge is by position, so results do not depend on the worker
+count.
 
 Scope note: the scan universe is primes 5 <= ell <= X excluding p and the
 bad primes; 2 and 3 are left out because reduction classification below 5 is
@@ -28,13 +35,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .arith import check_int, check_prime, sieve_primes
 from .curve import WeierstrassCurve, frobenius_trace, is_good_ordinary
 from .errors import EmptyScan, NotGoodOrdinary
 
-_CHUNK = 512
+#: fewest primes per process; fewer eligible primes than twice this run serially
+_MIN_SHARE = 256
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,71 @@ def count_mod(E: WeierstrassCurve, ell: int, p: int) -> int:
     return (ell + 1 - frobenius_trace(E, ell)) % p
 
 
-def _scan_chunk(E: WeierstrassCurve, p: int, mode: str, chunk: list[int]) -> list[ScanRow]:
-    # a torsion hit is p | #E(F_ell), a qvanish hit the opposite
-    nms = [(ell, count_mod(E, ell, p)) for ell in chunk]
-    return [ScanRow(ell, nm, (nm == 0) == (mode == "torsion")) for ell, nm in nms]
+def _counts(E: WeierstrassCurve, p: int, ells: list[int]) -> list[int]:
+    return [count_mod(E, ell, p) for ell in ells]
+
+
+def _child(E: WeierstrassCurve, p: int, ells: list[int], r: int, w: int) -> None:
+    """A forked child's whole life: close ``r``, count ``ells``, send the
+    pickled (counts, None) or (None, exception) through ``w`` and leave by
+    os._exit, never returning into the caller's code."""
+    code = 1
+    try:
+        import pickle
+
+        os.close(r)
+        try:
+            msg = (_counts(E, p, ells), None)
+        except Exception as e:  # handed to the parent, which raises it
+            msg = (None, e)
+        with open(w, "wb") as fh:
+            fh.write(pickle.dumps(msg))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_counts(E: WeierstrassCurve, p: int, ells: list[int], procs: int) -> list[int]:
+    """count_mod over ``ells`` on ``procs`` processes: this one computes
+    ells[0::procs] and forks one child for each other stride, merged by
+    position.  Children are killed on any error and always reaped."""
+    import pickle
+    import signal
+
+    counts = [0] * len(ells)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for i in range(1, procs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(E, p, ells[i::procs], r, w)
+            os.close(w)
+            children.append((pid, r))
+        counts[0::procs] = _counts(E, p, ells[0::procs])
+        for i, (pid, r) in enumerate(children, 1):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise ChildProcessError(f"scan worker {pid} exited without a result")
+            share, err = pickle.loads(data)
+            if err is not None:
+                raise err
+            counts[i::procs] = share
+        return counts
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
 
 
 def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,
@@ -100,22 +168,16 @@ def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,
             and (mode != "qvanish" or ell % p == 1)]
     if not ells:
         raise EmptyScan(f"no eligible primes up to {limit}")
-    chunks = [ells[i:i + _CHUNK] for i in range(0, len(ells), _CHUNK)]
-    procs = min(workers, len(ells) // _CHUNK, os.cpu_count() or 1)
-    if procs <= 1:
-        results = [_scan_chunk(E, p, mode, c) for c in chunks]
+    procs = min(workers, len(ells) // _MIN_SHARE, os.cpu_count() or 1)
+    if procs > 1 and hasattr(os, "fork"):
+        counts = _forked_counts(E, p, ells, procs)
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-        with ProcessPoolExecutor(procs, ctx) as pool:
-            results = list(pool.map(partial(_scan_chunk, E, p, mode), chunks))
-    rows = tuple(r for part in results for r in part)
+        counts = _counts(E, p, ells)
+    # a torsion hit is p | #E(F_ell), a qvanish hit the opposite
+    hits = [(nm == 0) == (mode == "torsion") for nm in counts]
     return DensityReport(
-        label=E.label, p=p, limit=limit, mode=mode,
-        total=len(rows), hits=sum(r.hit for r in rows),
-        rows=rows if keep_rows else None,
+        label=E.label, p=p, limit=limit, mode=mode, total=len(ells), hits=sum(hits),
+        rows=tuple(map(ScanRow, ells, counts, hits)) if keep_rows else None,
     )
 
 

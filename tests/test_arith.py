@@ -100,6 +100,12 @@ class TestSievePrimes:
         # generous budget admits the same limit
         assert sieve_primes(10**6, budget=10**8).limit == 10**6
 
+    def test_budget_edge(self):
+        # a limit equal to the budget is sieved, one past it is refused
+        assert len(sieve_primes(100, budget=100).primes) == 25
+        with pytest.raises(LimitTooLarge, match="sieve limit 101 exceeds budget 100"):
+            sieve_primes(101, budget=100)
+
     def test_records_limit(self):
         pr = sieve_primes(100)
         assert pr.limit == 100
@@ -184,6 +190,12 @@ class TestFactorize:
         for n in (m89, -6 * m89):
             with pytest.raises(UncertifiedPrimality):
                 factorize(n)
+
+    def test_cofactor_at_certified_bound(self):
+        # the bound is a composite with no factor below 10,000: a cofactor
+        # equal to it is refused by name, not by is_prime's ValueError
+        with pytest.raises(UncertifiedPrimality, match="past the certified primality bound"):
+            factorize(MR_CERTIFIED_BOUND)
 
 
 class TestEulerPhi:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from towerbounds.bounds import (
+    BASE_BIT_BUDGET,
     BaseInvariants,
     GrowthRow,
     RamificationData,
@@ -67,6 +68,16 @@ class TestBaseInvariants:
             BaseInvariants(mu0=0, lambda0=2, selmer_zero=True, provenance="x")
         b = BaseInvariants(mu0=0, lambda0=0, selmer_zero=True, provenance="x")
         assert b.selmer_zero
+
+    @pytest.mark.parametrize("field", ["mu0", "lambda0"])
+    def test_bit_budget(self, field):
+        # BASE_BIT_BUDGET = 4000 bits: 2^4000 - 1 is taken, 2^4000 refused
+        assert BASE_BIT_BUDGET == 4000
+        BaseInvariants(**{"mu0": 0, "lambda0": 0, field: 2**4000 - 1},
+                       selmer_zero=False, provenance="x")
+        with pytest.raises(LimitTooLarge, match=f"{field} has 4001 bits.*BASE_BIT_BUDGET"):
+            BaseInvariants(**{"mu0": 0, "lambda0": 0, field: 2**4000},
+                           selmer_zero=False, provenance="x")
 
     @pytest.mark.parametrize("flag", [0, 1, None, "true"])
     def test_selmer_zero_is_a_bool(self, flag):

@@ -118,6 +118,10 @@ class TestJsonReports:
                      if any("--json" in a.option_strings for a in p._actions)}
         assert with_json == {argv[0] for argv in JSON_CALLS.values()}
 
+    def test_missing_key_is_malformed(self):
+        with pytest.raises(ValueError, match="malformed 'splitting' report"):
+            validate_report_json({"schema": 1, "kind": "splitting", "ell": 11})
+
     def test_splitting_finite_count_checked(self, capsys):
         _, out, _ = run_cli(capsys, *JSON_CALLS["splitting_finite"], "--json")
         obj = json.loads(out)
@@ -430,15 +434,48 @@ class TestBounds:
         assert obj["base"]["mu0"] == 0
 
     def test_error_leaves_no_partial_report(self, capsys):
-        # lambda0 = 10^4290 renders at level 0, but 7^12 * lambda0 passes the
-        # int-to-str limit of 4,300 digits; nothing is written before the
+        # under an int-to-str limit of 640 digits, lambda0 = 10^635 renders at
+        # level 0, but 7^12 * lambda0 does not; nothing is written before the
         # whole report has rendered
-        code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:2",
-                                 "--p", "7", "--nmax", "12", "--lambda0", str(10**4290),
-                                 "--mu0", "0", "--assume-mhg")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:2",
+                                     "--p", "7", "--nmax", "12", "--lambda0", str(10**635),
+                                     "--mu0", "0", "--assume-mhg")
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+    def test_base_data_past_bit_budget(self, capsys):
+        # 10^4290 has 14,252 bits: refused before q-sets or rows, where
+        # 7^12 * 10^4290 would pass the int-to-str limit of 4,300 digits
+        code, out, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:2",
+                                 "--p", "7", "--nmax", "12", "--lambda0", str(10**4290),
+                                 "--mu0", "0", "--assume-mhg")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: LimitTooLarge: lambda0 has 14252 bits")
+        assert "BASE_BIT_BUDGET = 4000" in err
+
+    @pytest.mark.parametrize("key", ["--lambda0", "--mu0"])
+    def test_base_data_at_bit_budget(self, capsys, key):
+        # 2^4000 - 1 at the largest layer degree the layer budget admits,
+        # 17^2000, prints in text and in a report that validates; 2^4000 is
+        # refused
+        argv = ["bounds", "11a1", "--tower", "zpd:201", "--p", "17", "--nmax", "10",
+                "--lambda0", "0", "--mu0", "0", "--assume-mhg"]
+        at = argv + [key, str(2**4000 - 1)]
+        code, out, _ = run_cli(capsys, *at)
+        assert code == 0
+        assert out.splitlines()[-1].split()[0] == "10"
+        code, out, _ = run_cli(capsys, *at, "--json")
+        assert code == 0
+        validate_report_json(json.loads(out))
+        code, out, err = run_cli(capsys, *argv, key, str(2**4000))
+        assert (code, out) == (1, "")
+        assert f"{key[2:]} has 4001 bits, past the budget BASE_BIT_BUDGET" in err
 
     @pytest.mark.parametrize("tower", ["zpd:2000", "zpd:1000000"])
     def test_layer_degree_past_bit_budget(self, capsys, tower):
@@ -520,6 +557,28 @@ class TestKida:
                                "--assume-mhg", "--ram", "P3:7^1")
         assert code == 2
         assert "usage error:" in err
+
+    def test_empty_ram_items_are_skipped(self, capsys):
+        code, out, _ = run_cli(capsys, "kida", "--tower", "zpd:2", "--p", "5", "--n", "1",
+                               "--lambda0", "0", "--assume-mhg", "--ram", "P1:5^1,,")
+        assert (code, out.strip()) == (0, "level=1 lambda=4")
+
+    def test_ramification_index_zero(self, capsys):
+        code, out, err = run_cli(capsys, "kida", "--tower", "zpd:2", "--p", "5", "--n", "1",
+                                 "--lambda0", "0", "--assume-mhg", "--ram", "P1:0^1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InvalidRamification: split_mult index 0")
+
+    @pytest.mark.parametrize("over", ["lambda0", "count"])
+    def test_base_data_bit_budget(self, capsys, over):
+        # lambda0 and each count: 2^4000 - 1 is taken, 2^4000 refused
+        for value, code in ((2**4000 - 1, 0), (2**4000, 1)):
+            lam, count = (value, 1) if over == "lambda0" else (0, value)
+            got, out, err = run_cli(capsys, "kida", "--tower", "zpd:2", "--p", "5", "--n", "1",
+                                    "--lambda0", str(lam), "--assume-mhg",
+                                    "--ram", f"P2:5^{count}")
+            assert (got, out == "") == (code, code == 1)
+            assert ("BASE_BIT_BUDGET = 4000" in err) == (code == 1)
 
 
 _KIDA = ("kida", "--tower", "falsetate:11", "--p", "7", "--n", "1", "--lambda0", "0",
@@ -622,8 +681,56 @@ class TestCurveFileOption:
         assert code == 1
         assert "UnknownCurveKey" in err
 
+    def test_empty_label_is_domain_error(self, capsys, tmp_path):
+        f = tmp_path / "mine.jsonl"
+        f.write_text('{"label": "", "ainvs": [0, -1, 1, 0, 0]}\n', encoding="utf-8")
+        code, out, err = run_cli(capsys, "count", "w", "--curves", str(f), "--ell", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: MalformedCurveEntry:")
+        assert "label must be a non-empty string" in err
+
+
+_POOL = {"concurrent.futures", "multiprocessing"}
+_DENSITY_BOUNDS = {"towerbounds.density", "towerbounds.bounds"} | _POOL
+
+# one call per subcommand, and the modules it must not import
+IMPORT_CALLS = {
+    "invariants": (["invariants", "11a2"], _POOL),
+    "reduction": (["reduction", "11a2", "--ell", "13"], _POOL),
+    "count": (["count", "11a3", "--ell", "7"], _POOL),
+    "splitting": (["splitting", "--ell", "11", "--p", "7"], _DENSITY_BOUNDS),
+    "qsets": (["qsets", "11a2", "--tower", "generic:2:11,13", "--p", "7"], _POOL),
+    "bounds": (JSON_CALLS["bounds"], _POOL),
+    "kida": ([*_KIDA, "P1:7^2"], _POOL),
+    "wprep": (["wprep", "--series", "5 3 4 : 5 10 1 0"], _DENSITY_BOUNDS),
+    # 1,225 primes: forks a worker wherever there are two CPUs
+    "density": (["density", "11a2", "--p", "7", "--limit", "10000", "--mode", "torsion",
+                 "--jobs", "2"],
+                {"towerbounds.report", "towerbounds.bounds", "towerbounds.tower",
+                 "towerbounds.series"} | _POOL),
+}
+
+_MODULES_AFTER_MAIN = (
+    "import contextlib, io, json, sys\n"
+    "from towerbounds import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n")
+
 
 class TestImportCost:
+    @pytest.mark.parametrize("sub", sorted(IMPORT_CALLS))
+    def test_subcommand_imports_only_what_it_uses(self, sub):
+        # a fresh process per call: each subcommand pays only for its modules
+        argv, forbidden = IMPORT_CALLS[sub]
+        src = str(Path(towerbounds.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+                             capture_output=True, text=True, check=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        code, modules = json.loads(out)
+        assert code == 0
+        assert sorted(forbidden & set(modules)) == []
+
     def test_package_import_skips_cli_and_report(self):
         # the package import is what every library user pays for
         code = ("import sys, towerbounds; "

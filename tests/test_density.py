@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +12,7 @@ import pytest
 
 from helpers import brute_count_projective
 import towerbounds
+from towerbounds import density
 from towerbounds.curve import count_points
 from towerbounds.density import (
     DensityReport,
@@ -19,7 +20,7 @@ from towerbounds.density import (
     scan_q_vanishing,
     scan_torsion_density,
 )
-from towerbounds.errors import EmptyScan, NotGoodOrdinary
+from towerbounds.errors import EmptyScan, InternalInvariantViolation, NotGoodOrdinary
 
 
 class TestCountMod:
@@ -99,58 +100,141 @@ class TestScans:
             scan_torsion_density(curve_11a2, 7, 1000, workers=0)
 
 
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records its arguments and maps in
-    this process, so no worker starts."""
-
-    made: list = []
-
-    def __init__(self, max_workers, mp_context=None):
-        self.made.append((max_workers, mp_context))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 class TestPool:
     @pytest.fixture
-    def made(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-        _RecordingExecutor.made = []
-        return _RecordingExecutor.made
+    def forked(self, monkeypatch):
+        """The pids of the children os.fork starts, recorded in the parent."""
+        pids, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
 
     @pytest.fixture(scope="class")
     def serial(self, curve_11a2):
-        return scan_torsion_density(curve_11a2, 7, 20000, keep_rows=True)
+        return scan_torsion_density(curve_11a2, 7, 10000, keep_rows=True)
 
-    # 11a2 at p = 7 has 2,256 eligible primes up to 20,000: four full chunks
+    @staticmethod
+    def assert_no_child_left():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # 11a2 at p = 7 has 1,225 eligible primes up to 10,000: four full shares
     @pytest.mark.parametrize("cpus, jobs, want", [
         (2, 10**6, 2), (64, 10**6, 4), (3, 3, 3), (64, 2, 2), (64, 1, None), (None, 8, None),
     ])
-    def test_pool_size(self, curve_11a2, monkeypatch, made, serial, cpus, jobs, want):
+    def test_pool_size(self, curve_11a2, monkeypatch, forked, serial, cpus, jobs, want):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rep = scan_torsion_density(curve_11a2, 7, 20000, workers=jobs, keep_rows=True)
+        rep = scan_torsion_density(curve_11a2, 7, 10000, workers=jobs, keep_rows=True)
         assert rep == serial
-        assert [n for n, _ in made] == ([] if want is None else [want])
-        assert multiprocessing.active_children() == []
+        # this process computes one share, so want processes fork want - 1 children
+        assert len(forked) == (0 if want is None else want - 1)
+        self.assert_no_child_left()
 
-    def test_one_full_chunk_runs_serially(self, curve_11a2, made):
-        rep = scan_torsion_density(curve_11a2, 7, 5000, workers=2)
-        assert rep.total < 2 * 512
-        assert made == []
-
-    def test_workers_are_forked(self, curve_11a2, monkeypatch, made):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
+    def test_below_two_shares_runs_serially(self, curve_11a2, monkeypatch, forked):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        scan_torsion_density(curve_11a2, 7, 20000, workers=2)
-        assert [ctx.get_start_method() for _, ctx in made] == ["fork"]
+        rep = scan_torsion_density(curve_11a2, 7, 3000, workers=2)
+        assert rep.total < 2 * density._MIN_SHARE
+        assert forked == []
+        # the edge: two shares of _MIN_SHARE primes fork, one prime fewer does not
+        half = rep.total // 2
+        monkeypatch.setattr(density, "_MIN_SHARE", half + 1)
+        assert scan_torsion_density(curve_11a2, 7, 3000, workers=2) == rep
+        assert forked == []
+        monkeypatch.setattr(density, "_MIN_SHARE", half)
+        assert scan_torsion_density(curve_11a2, 7, 3000, workers=2) == rep
+        assert len(forked) == 1
+
+    def test_workers_are_forked(self, curve_11a2, monkeypatch, forked, serial):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert scan_torsion_density(curve_11a2, 7, 10000, workers=2, keep_rows=True) == serial
+        assert len(forked) == 1 and forked[0] != os.getpid()
+        self.assert_no_child_left()
+
+    def test_serial_without_fork(self, curve_11a2, monkeypatch, serial):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert scan_torsion_density(curve_11a2, 7, 10000, workers=4, keep_rows=True) == serial
+
+    @pytest.mark.parametrize("share", [0, 1, 3])
+    def test_worker_error_reaches_parent(self, curve_11a2, monkeypatch, forked, serial, share):
+        # share 0 runs in this process, shares 1 and 3 in children
+        ells = [r.ell for r in serial.rows]
+        bad = ells[share::4][-1]
+        real = density.count_mod
+
+        def count_mod(E, ell, p):
+            if ell == bad:
+                raise InternalInvariantViolation(f"planted at {ell}")
+            return real(E, ell, p)
+
+        monkeypatch.setattr(density, "count_mod", count_mod)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.raises(InternalInvariantViolation, match=f"planted at {bad}"):
+            scan_torsion_density(curve_11a2, 7, 10000, workers=4)
+        assert len(forked) == 3
+        self.assert_no_child_left()
+
+    def test_parent_error_kills_workers(self, curve_11a2, monkeypatch, forked, serial):
+        # share 0 fails at once while share 1 would run for 30 s: the parent
+        # kills its child rather than wait for it
+        ells = [r.ell for r in serial.rows]
+        real = density.count_mod
+
+        def count_mod(E, ell, p):
+            if ell == ells[0]:
+                raise InternalInvariantViolation("planted")
+            if ell == ells[1]:
+                time.sleep(30)
+            return real(E, ell, p)
+
+        monkeypatch.setattr(density, "count_mod", count_mod)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(InternalInvariantViolation):
+            scan_torsion_density(curve_11a2, 7, 10000, workers=2)
+        assert time.monotonic() - start < 10
+        assert len(forked) == 1
+        self.assert_no_child_left()
+
+    def test_fork_failure_leaves_no_child(self, curve_11a2, monkeypatch):
+        # the second fork fails: the first child is killed and reaped
+        real, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError("no more processes")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.raises(BlockingIOError):
+            scan_torsion_density(curve_11a2, 7, 10000, workers=4)
+        self.assert_no_child_left()
+
+    def test_worker_that_dies_is_reported(self, curve_11a2, monkeypatch, forked, serial):
+        ells = [r.ell for r in serial.rows]
+        real = density.count_mod
+
+        def count_mod(E, ell, p):
+            if ell == ells[1]:
+                os._exit(3)  # a child that ends without sending a result
+            return real(E, ell, p)
+
+        monkeypatch.setattr(density, "count_mod", count_mod)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ChildProcessError, match="without a result"):
+            scan_torsion_density(curve_11a2, 7, 10000, workers=2)
+        self.assert_no_child_left()
 
     def test_import_starts_no_pool_machinery(self):
         # every CLI call pays for what the package imports at load time

@@ -79,6 +79,14 @@ class TestLayerDegrees:
         with pytest.raises(LimitTooLarge):
             cyc_layer_degree(TowerSpec.zpd_composite(7, 10**9), 12)
 
+    def test_bit_budget_edge(self):
+        # zpd:201 at p = 17 has e = 200 n: e * bitlen(17) is exactly 10,000 at
+        # level 10, which the budget admits, and 11,000 at level 11
+        spec = TowerSpec.zpd_composite(17, 201)
+        assert cyc_layer_degree(spec, 10) == 17**2000
+        with pytest.raises(LimitTooLarge, match="= 11000 exceeds the budget LAYER_BIT_BUDGET"):
+            cyc_layer_degree(spec, 11)
+
     def test_negative_level(self):
         spec = TowerSpec.zpd_composite(5, 2)
         with pytest.raises(ValueError):
