@@ -104,6 +104,8 @@ class TestPool:
     @pytest.fixture
     def forked(self, monkeypatch):
         """The pids of the children os.fork starts, recorded in the parent."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
         pids, real = [], os.fork
 
         def fork():
@@ -152,15 +154,13 @@ class TestPool:
         assert len(forked) == 1
 
     def test_workers_are_forked(self, curve_11a2, monkeypatch, forked, serial):
-        if not hasattr(os, "fork"):
-            pytest.skip("no os.fork on this platform")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert scan_torsion_density(curve_11a2, 7, 10000, workers=2, keep_rows=True) == serial
         assert len(forked) == 1 and forked[0] != os.getpid()
         self.assert_no_child_left()
 
     def test_serial_without_fork(self, curve_11a2, monkeypatch, serial):
-        monkeypatch.delattr(os, "fork")
+        monkeypatch.delattr(os, "fork", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert scan_torsion_density(curve_11a2, 7, 10000, workers=4, keep_rows=True) == serial
 
@@ -205,7 +205,7 @@ class TestPool:
         assert len(forked) == 1
         self.assert_no_child_left()
 
-    def test_fork_failure_leaves_no_child(self, curve_11a2, monkeypatch):
+    def test_fork_failure_leaves_no_child(self, curve_11a2, monkeypatch, forked):
         # the second fork fails: the first child is killed and reaped
         real, calls = os.fork, []
 
@@ -219,6 +219,7 @@ class TestPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         with pytest.raises(BlockingIOError):
             scan_torsion_density(curve_11a2, 7, 10000, workers=4)
+        assert len(forked) == 1
         self.assert_no_child_left()
 
     def test_worker_that_dies_is_reported(self, curve_11a2, monkeypatch, forked, serial):
