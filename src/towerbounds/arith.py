@@ -12,17 +12,26 @@ from math import gcd, isqrt
 
 from .errors import LimitTooLarge, NotCoprime, UncertifiedPrimality, ZeroInput
 
+# Every size limit of the package, one per row of README's table of limits.
 # Deterministic Miller-Rabin witness set, certified for all n below this
 # bound (Sorenson & Webster).  Desk-scale inputs stay far under it.
 MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
+#: k * bitlen(ell) for #E(F_{ell^k}) and e * bitlen(p) for a layer degree p^e:
+#: at most 3,011 digits, under CPython's default int-to-str limit of 4,300
+BIT_BUDGET = 10_000
+#: bit length of mu0, lambda0 and a Kida count, so that a sum of 2^280 terms
+#: each under 2^(BIT_BUDGET + 4,001) stays under 2^14,281 < 10^4,300 and prints
+BASE_BIT_BUDGET = 4_000
+#: sieve limit; the sieve array takes one byte per integer
+SIEVE_BUDGET = 10**8
+#: deepest level of a growth report or a Kida count
+LEVEL_CAP = 12
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (bound, bases proving every n < bound); each bound is a strong pseudoprime to
 # its bases, so the comparison must stay strict
 _MR_TIERS = ((3_215_031_751, _MR_BASES[:4]), (341_550_071_728_321, _MR_BASES[:7]),
              (MR_CERTIFIED_BOUND, _MR_BASES))
-
-#: default sieve memory budget (bytes of sieve array, one per integer)
-SIEVE_BUDGET = 10**8
 
 
 def check_int(value, what: str, lo: int | None = None) -> int:
@@ -39,6 +48,20 @@ def check_prime(value, what: str, lo: int = 2) -> int:
     if not _is_prime(check_int(value, what, lo)):
         raise ValueError(f"{what} must be a prime >= {lo}, got {value!r}")
     return value
+
+
+def check_budget(name: str, size: int, asked: str) -> None:
+    """LimitTooLarge when ``size``, which ``asked`` names, exceeds the budget ``name``."""
+    budget = globals()[name]
+    if size > budget:
+        raise LimitTooLarge(f"{asked} is {size}, past {name} = {budget}")
+
+
+def check_level(n, what: str) -> int:
+    """``n`` when check_int(n, what, 0) accepts it and n <= LEVEL_CAP."""
+    if check_int(n, what, 0) > LEVEL_CAP:
+        raise ValueError(f"{what} is {n}, past LEVEL_CAP = {LEVEL_CAP}")
+    return n
 
 
 def is_prime(n: int) -> bool:
@@ -87,14 +110,9 @@ class PrimeRange:
     primes: tuple[int, ...]
 
 
-def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> PrimeRange:
-    """Eratosthenes sieve of [2, limit].
-
-    Raises LimitTooLarge when ``limit`` exceeds ``budget`` (default 10^8),
-    which caps the sieve array at about 100 MB.
-    """
-    if check_int(limit, "sieve limit", 2) > budget:
-        raise LimitTooLarge(f"sieve limit {limit} exceeds budget {budget}")
+def sieve_primes(limit: int) -> PrimeRange:
+    """Eratosthenes sieve of [2, limit].  LimitTooLarge past SIEVE_BUDGET."""
+    check_budget("SIEVE_BUDGET", check_int(limit, "sieve limit", 2), "sieve limit")
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for i in range(2, isqrt(limit) + 1):

@@ -33,25 +33,8 @@ from typing import NamedTuple
 
 from . import arith
 from . import curve as curve_mod
-from .errors import HypothesisNotDeclared, InvalidRamification, LimitTooLarge, WrongTowerKind
-from .tower import (QSets, TowerKind, TowerSpec, _check_layer_bits, compute_qsets,
-                    cyc_layer_degree)
-
-#: ceiling on report depth and Kida level; degrees grow like p^((d-1)n)
-DEFAULT_LEVEL_CAP = 12
-
-# Largest bit length of mu0, lambda0 and a Kida count.  A layer degree stays
-# under 2^LAYER_BIT_BUDGET = 2^10,000, so each mu, lambda bound and Kida term
-# stays under 2^14,001: at most 4,215 digits, within CPython's default
-# int-to-str limit of 4,300 even summed over 2^280 terms.
-BASE_BIT_BUDGET = 4_000
-
-
-def _check_base_bits(value: int, what: str) -> None:
-    """LimitTooLarge when ``value`` has more than BASE_BIT_BUDGET bits."""
-    if value.bit_length() > BASE_BIT_BUDGET:
-        raise LimitTooLarge(f"{what} has {value.bit_length()} bits, past the budget "
-                            f"BASE_BIT_BUDGET = {BASE_BIT_BUDGET}")
+from .errors import HypothesisNotDeclared, InvalidRamification, WrongTowerKind
+from .tower import QSets, TowerKind, TowerSpec, compute_qsets, cyc_layer_degree
 
 
 class SelmerVerdict(Enum):
@@ -64,8 +47,8 @@ class BaseInvariants:
     """User-supplied base-level data with a mandatory provenance note.
 
     selmer_zero asserts the base fine Selmer group vanishes, which forces
-    mu0 = lambda0 = 0.  mu0 or lambda0 past BASE_BIT_BUDGET bits raises
-    LimitTooLarge, so no level's values outgrow what prints.
+    mu0 = lambda0 = 0.  mu0 or lambda0 past arith.BASE_BIT_BUDGET bits
+    raises LimitTooLarge, so no level's values outgrow what prints.
     """
 
     mu0: int
@@ -74,8 +57,9 @@ class BaseInvariants:
     provenance: str
 
     def __post_init__(self):
-        _check_base_bits(arith.check_int(self.mu0, "mu0", 0), "mu0")
-        _check_base_bits(arith.check_int(self.lambda0, "lambda0", 0), "lambda0")
+        for name in ("mu0", "lambda0"):
+            value = arith.check_int(getattr(self, name), name, 0)
+            arith.check_budget("BASE_BIT_BUDGET", value.bit_length(), f"bitlen({name})")
         if not isinstance(self.selmer_zero, bool):
             raise ValueError(f"selmer_zero must be a bool, got {self.selmer_zero!r}")
         if not isinstance(self.provenance, str) or not self.provenance.strip():
@@ -152,15 +136,12 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
 
     Validates that every ramification index is a power of p and at most
     p^level (InvalidRamification otherwise).  Conditional on assume_mhg.  A
-    level past DEFAULT_LEVEL_CAP raises ValueError, and a layer degree past
-    tower.LAYER_BIT_BUDGET LimitTooLarge, before any power is built; so does
-    a count past BASE_BIT_BUDGET bits.
+    level past arith.LEVEL_CAP raises ValueError, and a layer degree past
+    arith.BIT_BUDGET or a count past arith.BASE_BIT_BUDGET bits LimitTooLarge.
     """
     _require_hypothesis(spec)
-    n = ram.level
-    if n > DEFAULT_LEVEL_CAP:
-        raise ValueError(f"level={n} exceeds level cap {DEFAULT_LEVEL_CAP}")
-    _check_layer_bits(spec.p, (spec.d - 1) * n)
+    n = arith.check_level(ram.level, "level")
+    degree = cyc_layer_degree(spec, n)
     cap = spec.p**n
     extra = 0
     for weight, entries, tag in ((1, ram.split_mult, "split_mult"),
@@ -176,22 +157,20 @@ def kida_lambda(base: BaseInvariants, spec: TowerSpec, ram: RamificationData) ->
                 )
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:
                 raise InvalidRamification(f"{tag} count {count!r} must be >= 1")
-            _check_base_bits(count, f"{tag} count")
+            arith.check_budget("BASE_BIT_BUDGET", count.bit_length(), f"bitlen({tag} count)")
             extra += weight * count * (e - 1)
-    return cyc_layer_degree(spec, n) * base.lambda0 + extra
+    return degree * base.lambda0 + extra
 
 
 def hung_lim_bound(base: BaseInvariants, spec: TowerSpec, q: QSets, n: int) -> int:
-    """Published comparison bound for torsion-field towers:
-    (lambda0 + q1) * p^(3n) + 8.  WrongTowerKind for any other kind, and
-    LimitTooLarge when p^(3n) passes tower.LAYER_BIT_BUDGET."""
+    """Published comparison bound for torsion-field towers: (lambda0 + q1) *
+    p^(3n) + 8, where p^(3n) is the layer degree as d = 4.  WrongTowerKind for
+    any other kind, and LimitTooLarge when p^(3n) passes arith.BIT_BUDGET."""
     if spec.kind is not TowerKind.TORSION_FIELD:
         raise WrongTowerKind(
             f"comparison bound applies to torsion-field towers, not {spec.kind.value}"
         )
-    e = 3 * arith.check_int(n, "level", 0)
-    _check_layer_bits(spec.p, e)
-    return _hung_lim(base.lambda0, q, spec.p**e)
+    return _hung_lim(base.lambda0, q, cyc_layer_degree(spec, n))
 
 
 def selmer_zero_propagation(base: BaseInvariants, q: QSets) -> SelmerVerdict:
@@ -234,18 +213,14 @@ class GrowthBoundReport:
     rows: tuple[GrowthRow, ...]
 
 
-def _check_n_max(n_max: int) -> None:
-    if arith.check_int(n_max, "n_max", 0) > DEFAULT_LEVEL_CAP:
-        raise ValueError(f"n_max={n_max} exceeds level cap {DEFAULT_LEVEL_CAP}")
-
-
 def growth_report(E: curve_mod.WeierstrassCurve, spec: TowerSpec,
                   base: BaseInvariants, n_max: int) -> GrowthBoundReport:
     """Compute the curve's q-sets and assemble rows for n = 0..n_max.
 
-    n_max is capped at DEFAULT_LEVEL_CAP to keep degrees desk-scale.
+    n_max is capped at arith.LEVEL_CAP to keep degrees desk-scale, and the
+    layer degree at n_max by arith.BIT_BUDGET, both before the q-sets.
     """
-    _check_n_max(n_max)
+    cyc_layer_degree(spec, arith.check_level(n_max, "n_max"))  # only the checks
     return assemble_report(E.label, spec, base, compute_qsets(E, spec), n_max)
 
 
@@ -256,14 +231,13 @@ def assemble_report(label: str | None, spec: TowerSpec, base: BaseInvariants,
     Rows use the conditional formulas, except that an unconditional
     ALL_LEVELS_ZERO verdict (zero base data, empty q-sets) needs no declared
     hypothesis.  LimitTooLarge when the layer degree at n_max passes
-    tower.LAYER_BIT_BUDGET.
+    arith.BIT_BUDGET.
     """
-    _check_n_max(n_max)
+    cyc_layer_degree(spec, arith.check_level(n_max, "n_max"))  # only the checks
     verdict = selmer_zero_propagation(base, q)
     if verdict is not SelmerVerdict.ALL_LEVELS_ZERO:
         _require_hypothesis(spec)
     p, d = spec.p, spec.d
-    _check_layer_bits(p, (d - 1) * n_max)
     torsion = spec.kind is TowerKind.TORSION_FIELD
     # D_n = p^((d-1)n) and p^((d-2)n), carried forward one level at a time; a
     # torsion tower has d = 4, so p^(3n) = D_n

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .curve import WeierstrassCurve, curve_from_ainvs
@@ -100,8 +99,9 @@ def load_curve_file(path: str | Path) -> dict[str, CurveFileEntry]:
 
 
 def bundled_curve_path() -> Path:
-    """Path of the curve corpus shipped with the package."""
-    return Path(resources.files("towerbounds").joinpath("data/curves.jsonl"))
+    """The curve corpus beside this module, in a source checkout or an
+    installed package; a zipped install is not supported."""
+    return Path(__file__).with_name("data").joinpath("curves.jsonl")
 
 
 def load_bundled() -> dict[str, CurveFileEntry]:

@@ -35,7 +35,6 @@ from .errors import (
     BadReduction,
     EqualPrimes,
     InternalInvariantViolation,
-    LimitTooLarge,
     NonMinimalModel,
     SingularCurve,
     SmallPrime,
@@ -370,23 +369,17 @@ def _count_points(E: WeierstrassCurve, ell: int) -> PointCount:
     return pc
 
 
-# Largest k * bitlen(ell) count_points_ext accepts: #E(F_{ell^k}) then has at most
-# 3,011 digits, under CPython's default int-to-str limit of 4,300.
-EXT_BIT_BUDGET = 10_000
-
-
 def count_points_ext(E: WeierstrassCurve, ell: int, k: int) -> PointCount:
     """#E(F_{ell^k}) via the trace recurrence s_0 = 2, s_1 = a_ell,
     s_j = a_ell*s_{j-1} - ell*s_{j-2}; the count is ell^k + 1 - s_k.
 
-    Raises LimitTooLarge when k * bitlen(ell) exceeds EXT_BIT_BUDGET.
+    Raises LimitTooLarge when k * bitlen(ell) exceeds arith.BIT_BUDGET,
+    before anything is counted.
     """
     arith.check_int(k, "extension degree", 1)
-    base = count_points(E, ell)
-    if k * ell.bit_length() > EXT_BIT_BUDGET:
-        raise LimitTooLarge(f"k * bitlen(ell) = {k * ell.bit_length()} exceeds the "
-                            f"budget {EXT_BIT_BUDGET} for a count over F_{ell}^{k}")
-    return _extend(base, k)
+    arith.check_budget("BIT_BUDGET", k * arith.check_prime(ell, "ell").bit_length(),
+                       f"k * bitlen(ell) for a count over F_{ell}^{k}")
+    return _extend(_count_points(E, ell), k)
 
 
 def _trace_mod(base: PointCount, k: int, p: int) -> int:

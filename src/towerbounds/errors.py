@@ -28,8 +28,8 @@ class ZeroInput(DomainError):
 
 
 class LimitTooLarge(DomainError):
-    """An input exceeds a documented size budget (sieve limit, extension count,
-    layer degree)."""
+    """An input exceeds a size budget of arith; README's table of limits lists
+    each budget, its value and what it bounds."""
 
 
 class UncertifiedPrimality(DomainError):
@@ -66,10 +66,6 @@ class PrimeMismatch(DomainError):
 
 class InsufficientCoeffPrecision(DomainError):
     """All coefficients vanish to the declared precision; mu is undetermined."""
-
-
-class InsufficientLength(DomainError):
-    """No unit pivot is visible within the declared length; lambda is undetermined."""
 
 
 class LengthTooShort(DomainError):

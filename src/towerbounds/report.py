@@ -108,10 +108,9 @@ def density_json(report: DensityReport) -> dict:
     }
 
 
-def _qsets(obj: dict) -> tower.QSets:
-    return tower.QSets(q1=obj["q1"], q2=obj["q2"],
-                       witnesses_q1=tuple((ell, c) for ell, c in obj["witnesses_q1"]),
-                       witnesses_q2=tuple((ell, c) for ell, c in obj["witnesses_q2"]))
+def _qsets(spec: tower.TowerSpec, obj: dict) -> tower.QSets:
+    w1, w2 = (tuple((ell, c) for ell, c in obj[f"witnesses_q{i}"]) for i in (1, 2))
+    return tower.check_witnesses(spec, tower.QSets(obj["q1"], obj["q2"], w1, w2))
 
 
 def _rebuild(obj: dict) -> dict:
@@ -130,16 +129,14 @@ def _rebuild(obj: dict) -> dict:
         ell, p, level = obj["ell"], obj["p"], obj["level"]
         return splitting_finite_json(ell, p, level, cyclotomic.splitting_finite(ell, p, level))
     if kind == "qsets":
-        q = _qsets(obj)
-        if any(ell == obj["p"] for ell, _ in q.witnesses_q1 + q.witnesses_q2):
-            raise ValueError("witness prime equals p")
-        return qsets_json(obj["label"], parse_tower(obj["tower"], obj["p"], assume_mhg=False), q)
+        spec = parse_tower(obj["tower"], obj["p"], assume_mhg=False)
+        return qsets_json(obj["label"], spec, _qsets(spec, obj))
     if kind == "bounds":
         spec = parse_tower(obj["tower"], obj["p"], obj["assume_mhg"])
         b = obj["base"]
         base = bounds.BaseInvariants(mu0=b["mu0"], lambda0=b["lambda0"],
                                      selmer_zero=b["selmer_zero"], provenance=b["provenance"])
-        return bounds_json(bounds.assemble_report(obj["label"], spec, base, _qsets(obj),
+        return bounds_json(bounds.assemble_report(obj["label"], spec, base, _qsets(spec, obj),
                                                   len(obj["rows"]) - 1))
     if kind == "density":
         return density_json(DensityReport(

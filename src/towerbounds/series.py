@@ -5,8 +5,8 @@ A PadicSeries carries two precision knobs that every operation respects:
 * ``prec`` (call it M): coefficients are residues mod p^M, stored in [0, p^M);
 * its length N: only the coefficients of 1, T, ..., T^(N-1) are declared.
 
-No operation reads beyond the declared precision, and preparation raises a
-named error instead of extrapolating when the data cannot decide the answer.
+No operation reads beyond the declared precision; weierstrass_prepare
+states what its answer covers.
 Products are exact Kronecker products: each operand is packed into one
 integer with slots no product coefficient can overflow, then multiplied once.
 
@@ -173,6 +173,12 @@ def weierstrass_prepare(f: PadicSeries) -> tuple[IwasawaInvariants, bool]:
     it.  Returns (invariants, unit_checked); unit_checked reports that mu was
     determined strictly below the declared precision and the pivot's unit
     part is a unit mod p, which holds for every residue of valuation < prec.
+
+    Truncation contract: these are the invariants of the declared truncation.
+    They are the series' own when a unit coefficient is declared, or when the
+    caller knows that mu is attained within the declared length, as
+    expand_char_element guarantees for length > lambda.  (50, 75, 100) at
+    p = 5 gives mu = 2 whatever follows T^2, where a unit may hide.
 
     Raises InsufficientCoeffPrecision when every declared coefficient is
     0 mod p^prec (mu >= prec, undetermined).  The least valuation is that of

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import arith, curve, cyclotomic
-from .errors import LimitTooLarge, NotGoodOrdinary, SmallBadPrime
+from .errors import NotGoodOrdinary, SmallBadPrime
 
 
 class TowerKind(Enum):
@@ -107,32 +107,22 @@ class TowerSpec:
                    assume_mhg=assume_mhg)
 
 
-# Largest e * bitlen(p) a layer degree p^e may take, as curve.EXT_BIT_BUDGET
-# bounds a count: p^e then has at most 3,011 digits, under CPython's default
-# int-to-str limit of 4,300.
-LAYER_BIT_BUDGET = 10_000
-
-
-def _check_layer_bits(p: int, e: int) -> None:
-    """LimitTooLarge when p^e would pass LAYER_BIT_BUDGET; nothing is built."""
-    if e * p.bit_length() > LAYER_BIT_BUDGET:
-        raise LimitTooLarge(f"e * bitlen(p) = {e * p.bit_length()} exceeds the budget "
-                            f"LAYER_BIT_BUDGET = {LAYER_BIT_BUDGET} for a layer degree {p}^{e}")
+def _layer_degree(p: int, e: int) -> int:
+    """p^e, or LimitTooLarge past arith.BIT_BUDGET before it is built."""
+    arith.check_budget("BIT_BUDGET", e * p.bit_length(),
+                       f"e * bitlen(p) for the layer degree {p}^{e}")
+    return p**e
 
 
 def cyc_layer_degree(spec: TowerSpec, n: int) -> int:
     """[level-n layer : base] over the cyclotomic line: p^((d-1)*n).
-    LimitTooLarge past LAYER_BIT_BUDGET."""
-    e = (spec.d - 1) * arith.check_int(n, "level", 0)
-    _check_layer_bits(spec.p, e)
-    return spec.p**e
+    LimitTooLarge past arith.BIT_BUDGET."""
+    return _layer_degree(spec.p, (spec.d - 1) * arith.check_int(n, "level", 0))
 
 
 def full_layer_degree(spec: TowerSpec, n: int) -> int:
-    """[level-n layer : base] over Q: p^(d*n).  LimitTooLarge past LAYER_BIT_BUDGET."""
-    e = spec.d * arith.check_int(n, "level", 0)
-    _check_layer_bits(spec.p, e)
-    return spec.p**e
+    """[level-n layer : base] over Q: p^(d*n).  LimitTooLarge past arith.BIT_BUDGET."""
+    return _layer_degree(spec.p, spec.d * arith.check_int(n, "level", 0))
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,7 @@ class QSets:
     """The ramified-prime counts q1/q2 with their per-prime witnesses.
 
     Witnesses are (ell, count) pairs; each qi equals the sum of its witness
-    counts, witness primes are pairwise distinct, and none equals p.
+    counts, and witness primes are pairwise distinct; see check_witnesses.
     """
 
     q1: int
@@ -194,6 +184,31 @@ def _classify_at(E: curve.WeierstrassCurve, ell: int, p: int) -> tuple[int, int]
     return 0, 0
 
 
+def _ramified(spec: TowerSpec) -> tuple[int, ...]:
+    return (spec.ell,) if spec.kind is TowerKind.FALSE_TATE else spec.ramified_primes
+
+
+def check_witnesses(spec: TowerSpec, q: QSets) -> QSets:
+    """``q`` when compute_qsets could give its witnesses in ``spec``, as far
+    as that is known without the curve, else a ValueError.  In a torsion tower
+    q2 = 0 and each witness is (ell, 1), ell >= 5 a prime other than p; in the
+    others each witness prime is ramified, with _classify_at's count."""
+    if spec.kind is TowerKind.TORSION_FIELD:
+        for ell, c in q.witnesses_q1:
+            if arith.check_prime(ell, "torsion witness prime", 5) == spec.p or c != 1:
+                raise ValueError(f"torsion witness ({ell}, {c}) is not (a prime != {spec.p}, 1)")
+        if q.q2:
+            raise ValueError(f"a torsion tower has q2 = 0, got {q.q2}")
+        return q
+    for ell, c in q.witnesses_q1 + q.witnesses_q2:
+        if ell not in _ramified(spec):
+            raise ValueError(f"witness prime {ell} is not ramified in the tower")
+        g = cyclotomic._splitting_infinite(ell, spec.p).num_primes
+        if c != g:
+            raise ValueError(f"witness {ell} has count {c}, but {g} primes lie above it")
+    return q
+
+
 def compute_qsets(E: curve.WeierstrassCurve, spec: TowerSpec) -> QSets:
     """Evaluate q1/q2 for the curve in the given tower.
 
@@ -217,9 +232,8 @@ def compute_qsets(E: curve.WeierstrassCurve, spec: TowerSpec) -> QSets:
                 wits.append((ell, 1))
         return QSets(q1=len(wits), q2=0, witnesses_q1=tuple(wits))
 
-    ells = (spec.ell,) if spec.kind is TowerKind.FALSE_TATE else spec.ramified_primes
     w1, w2 = [], []
-    for ell in sorted(ells):
+    for ell in sorted(_ramified(spec)):
         s, t = _classify_at(E, ell, spec.p)
         if s:
             w1.append((ell, s))

@@ -11,6 +11,10 @@ import random
 
 from towerbounds.series import DistinguishedPoly, PadicSeries
 
+# the least prime above 2^72, so bitlen(P73) = 73: a size of 137 * 73 = 10,001
+# bits is one past arith.BIT_BUDGET (10,001 = 73 * 137 has no other split)
+P73 = 4_722_366_482_869_645_213_711
+
 
 def brute_count_projective(ainvs, ell: int) -> int:
     """#E(F_ell) by enumerating representatives of the projective plane.

@@ -9,6 +9,7 @@ from helpers import (
     strong_probable_prime_all_bases,
     trial_division_primes,
 )
+from towerbounds import arith
 from towerbounds.arith import (
     MR_CERTIFIED_BOUND,
     euler_phi,
@@ -95,16 +96,17 @@ class TestSievePrimes:
         assert list(sieve_primes(2).primes) == [2]
 
     def test_budget(self):
-        with pytest.raises(LimitTooLarge):
-            sieve_primes(10**9, budget=10**8)
-        # generous budget admits the same limit
-        assert sieve_primes(10**6, budget=10**8).limit == 10**6
+        with pytest.raises(LimitTooLarge,
+                           match="sieve limit is 1000000000, past SIEVE_BUDGET = 100000000"):
+            sieve_primes(10**9)
+        assert sieve_primes(10**6).limit == 10**6
 
-    def test_budget_edge(self):
+    def test_budget_edge(self, monkeypatch):
         # a limit equal to the budget is sieved, one past it is refused
-        assert len(sieve_primes(100, budget=100).primes) == 25
-        with pytest.raises(LimitTooLarge, match="sieve limit 101 exceeds budget 100"):
-            sieve_primes(101, budget=100)
+        monkeypatch.setattr(arith, "SIEVE_BUDGET", 100)
+        assert len(sieve_primes(100).primes) == 25
+        with pytest.raises(LimitTooLarge, match="sieve limit is 101, past SIEVE_BUDGET = 100"):
+            sieve_primes(101)
 
     def test_records_limit(self):
         pr = sieve_primes(100)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from towerbounds.arith import BASE_BIT_BUDGET
 from towerbounds.bounds import (
-    BASE_BIT_BUDGET,
     BaseInvariants,
     GrowthRow,
     RamificationData,
@@ -75,7 +75,8 @@ class TestBaseInvariants:
         assert BASE_BIT_BUDGET == 4000
         BaseInvariants(**{"mu0": 0, "lambda0": 0, field: 2**4000 - 1},
                        selmer_zero=False, provenance="x")
-        with pytest.raises(LimitTooLarge, match=f"{field} has 4001 bits.*BASE_BIT_BUDGET"):
+        with pytest.raises(LimitTooLarge,
+                           match=rf"bitlen\({field}\) is 4001, past BASE_BIT_BUDGET = 4000"):
             BaseInvariants(**{"mu0": 0, "lambda0": 0, field: 2**4000},
                            selmer_zero=False, provenance="x")
 
@@ -268,14 +269,39 @@ class TestGrowthReport:
         assert rep.rows[1].hung_lim_upper == (1 + 1) * 7**3 + 8
 
     def test_level_cap(self, curve_11a2):
+        # LEVEL_CAP = 12: level 12 is reported, 13 refused
         spec = TowerSpec.false_tate(7, 11, assume_mhg=True)
-        with pytest.raises(ValueError):
+        assert len(growth_report(curve_11a2, spec, base(), n_max=12).rows) == 13
+        with pytest.raises(ValueError, match="^n_max is 13, past LEVEL_CAP = 12$"):
             growth_report(curve_11a2, spec, base(), n_max=13)
+        with pytest.raises(ValueError, match="^n_max is 13, past LEVEL_CAP = 12$"):
+            assemble_report("t", spec, base(), QSets(0, 0), 13)
+        ram = RamificationData(level=12, split_mult=((7, 1),))
+        assert kida_lambda(base(), spec, ram) == 6
+        with pytest.raises(ValueError, match="^level is 13, past LEVEL_CAP = 12$"):
+            kida_lambda(base(), spec, RamificationData(level=13, split_mult=((7, 1),)))
+
+    def test_limits_before_qsets(self, curve_11a2):
+        # 11a2 is bad at 11, so computing the q-sets would raise NotGoodOrdinary
+        with pytest.raises(ValueError, match="^n_max is 13, past LEVEL_CAP = 12$"):
+            growth_report(curve_11a2, TowerSpec.zpd_composite(11, 2, assume_mhg=True),
+                          base(), n_max=13)
+        with pytest.raises(LimitTooLarge, match="is 10032, past BIT_BUDGET = 10000$"):
+            growth_report(curve_11a2, TowerSpec.zpd_composite(11, 210, assume_mhg=True),
+                          base(), n_max=12)
 
     def test_row_validation(self):
         with pytest.raises(ValueError):
             GrowthRow(n=1, cyc_degree=7, mu=0, lambda_lower=5,
                       lambda_upper=3, rank_upper=3).validate()
+
+    @pytest.mark.parametrize("mu,cyc_degree", [(-1, 7), (0, 0)])
+    def test_row_validation_of_mu_and_degree(self, mu, cyc_degree):
+        # the lambda window and rank bound are consistent; mu or the degree is not
+        row = GrowthRow(n=1, cyc_degree=cyc_degree, mu=mu, lambda_lower=0,
+                        lambda_upper=3, rank_upper=3)
+        with pytest.raises(ValueError, match="inconsistent row"):
+            row.validate()
 
 
 _TOWER_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -326,9 +352,19 @@ class TestAssembleReport:
     def test_layer_degree_past_bit_budget(self):
         # 7^(999 * 12): 35,964 bits, refused before the rows are built
         spec = TowerSpec.zpd_composite(7, 1000, assume_mhg=True)
-        with pytest.raises(LimitTooLarge, match="LAYER_BIT_BUDGET"):
+        with pytest.raises(LimitTooLarge, match="is 35964, past BIT_BUDGET = 10000"):
             assemble_report("t", spec, base(), QSets(0, 0), 12)
         assert len(assemble_report("t", spec, base(), QSets(0, 0), 3).rows) == 4
+
+    def test_layer_degree_at_bit_budget(self):
+        # (d - 1) * n_max * bitlen(17): 2000 * 5 = 10,000 bits at zpd:2001 is
+        # built, 2001 * 5 = 10,005 at zpd:2002 is not
+        rows = assemble_report("t", TowerSpec.zpd_composite(17, 2001, assume_mhg=True),
+                               base(), QSets(0, 0), 1).rows
+        assert rows[1].cyc_degree == 17**2000
+        with pytest.raises(LimitTooLarge, match="is 10005, past BIT_BUDGET = 10000"):
+            assemble_report("t", TowerSpec.zpd_composite(17, 2002, assume_mhg=True),
+                            base(), QSets(0, 0), 1)
 
     def test_kida_and_hung_lim_past_bit_budget(self):
         spec = TowerSpec.zpd_composite(7, 10**9, assume_mhg=True)

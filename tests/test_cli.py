@@ -14,6 +14,7 @@ from helpers import brute_multiplicative_order
 import towerbounds
 from towerbounds.bounds import BaseInvariants, assemble_report
 from towerbounds.cli import build_parser, main, validate_report_json
+from towerbounds.cyclotomic import splitting_infinite
 from towerbounds.errors import DomainError, HypothesisNotDeclared
 from towerbounds.report import bounds_json
 from towerbounds.report import parse_tower as _parse_tower
@@ -129,6 +130,32 @@ class TestJsonReports:
         with pytest.raises(ValueError):
             validate_report_json(obj)
 
+    @pytest.mark.parametrize("kind", ["qsets", "bounds"])
+    @pytest.mark.parametrize("tower,forged", [
+        ("zpd:3", {"q1": 5, "witnesses_q1": [[11, 5]]}),  # nothing ramifies
+        ("falsetate:11", {"q1": 1, "witnesses_q1": [[13, 1]]}),  # 13 is not ramified
+        ("torsion", {"q2": 3, "witnesses_q2": [[13, 3]]}),  # a torsion q2 is 0
+    ])
+    def test_forged_qsets_refused(self, capsys, kind, tower, forged):
+        # forgeries of genuine 11a1 reports at p = 7; a bounds report gets the
+        # rows its forged q-sets give, so only the witnesses are false
+        argv = [kind, "11a1", "--tower", tower, "--p", "7", "--json"]
+        if kind == "bounds":
+            argv += ["--lambda0", "0", "--mu0", "0", "--assume-mhg", "--nmax", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        obj = json.loads(out)
+        validate_report_json(obj)
+        obj.update(forged)
+        if kind == "bounds":
+            q = QSets(obj["q1"], obj["q2"], *(tuple(map(tuple, obj[f"witnesses_q{i}"]))
+                                              for i in (1, 2)))
+            rep = assemble_report("11a1", _parse_tower(tower, 7, True),
+                                  BaseInvariants(0, 0, False, obj["base"]["provenance"]), q, 2)
+            obj["rows"] = json.loads(json.dumps(bounds_json(rep)))["rows"]
+        with pytest.raises(ValueError, match="is not ramified|torsion tower has q2 = 0"):
+            validate_report_json(obj)
+
     @pytest.mark.parametrize("name", sorted(TAMPERS))
     def test_tampered_report_refused(self, capsys, name):
         call, tamper = TAMPERS[name]
@@ -162,12 +189,17 @@ def tower_specs(draw):
 
 
 @st.composite
-def qsets(draw):
-    wits = [(ell, draw(st.integers(1, 3)))
-            for ell in draw(st.lists(st.sampled_from(_PRIMES), unique=True, max_size=4))]
-    cut = draw(st.integers(0, len(wits)))
-    w1, w2 = tuple(wits[:cut]), tuple(wits[cut:])
-    return QSets(sum(c for _, c in w1), sum(c for _, c in w2), w1, w2)
+def qsets(draw, spec):
+    """Q-sets whose witnesses the tower admits.  Which of q1, q2 or neither a
+    prime falls into needs a curve, so it is drawn."""
+    if spec.kind is TowerKind.TORSION_FIELD:
+        ells = draw(st.lists(st.sampled_from([q for q in _PRIMES[2:] if q != spec.p]),
+                             unique=True, max_size=4))
+        return QSets(len(ells), 0, tuple((ell, 1) for ell in sorted(ells)))
+    w = ([], [], [])
+    for ell in (spec.ell,) if spec.kind is TowerKind.FALSE_TATE else spec.ramified_primes:
+        w[draw(st.integers(0, 2))].append((ell, splitting_infinite(ell, spec.p).num_primes))
+    return QSets(sum(c for _, c in w[0]), sum(c for _, c in w[1]), tuple(w[0]), tuple(w[1]))
 
 
 @st.composite
@@ -178,8 +210,9 @@ def bases(draw):
 
 
 class TestBoundsReportRebuild:
-    @given(tower_specs(), qsets(), bases(), st.integers(0, 12), st.data())
-    def test_validates_and_refuses_any_changed_row_int(self, spec, q, base, n_max, data):
+    @given(tower_specs(), bases(), st.integers(0, 12), st.data())
+    def test_validates_and_refuses_any_changed_row_int(self, spec, base, n_max, data):
+        q = data.draw(qsets(spec))
         try:
             rep = assemble_report("t", spec, base, q, n_max)
         except HypothesisNotDeclared:
@@ -359,9 +392,10 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "11a1", "--ell", "13", "--ext", "2500")
         assert code == 0
         assert out.startswith("ell=13 k=2500 count=")
-        code, _, err = run_cli(capsys, "count", "11a1", "--ell", "13", "--ext", "2501")
-        assert code == 1
-        assert "LimitTooLarge" in err
+        code, out, err = run_cli(capsys, "count", "11a1", "--ell", "13", "--ext", "2501")
+        assert (code, out) == (1, "")
+        assert err == ("error: LimitTooLarge: k * bitlen(ell) for a count over F_13^2501 "
+                       "is 10004, past BIT_BUDGET = 10000\n")
 
 
 class TestReductionAndInvariants:
@@ -456,8 +490,8 @@ class TestBounds:
                                  "--p", "7", "--nmax", "12", "--lambda0", str(10**4290),
                                  "--mu0", "0", "--assume-mhg")
         assert (code, out) == (1, "")
-        assert err.startswith("error: LimitTooLarge: lambda0 has 14252 bits")
-        assert "BASE_BIT_BUDGET = 4000" in err
+        assert err == ("error: LimitTooLarge: bitlen(lambda0) is 14252, "
+                       "past BASE_BIT_BUDGET = 4000\n")
 
     @pytest.mark.parametrize("key", ["--lambda0", "--mu0"])
     def test_base_data_at_bit_budget(self, capsys, key):
@@ -475,7 +509,7 @@ class TestBounds:
         validate_report_json(json.loads(out))
         code, out, err = run_cli(capsys, *argv, key, str(2**4000))
         assert (code, out) == (1, "")
-        assert f"{key[2:]} has 4001 bits, past the budget BASE_BIT_BUDGET" in err
+        assert f"bitlen({key[2:]}) is 4001, past BASE_BIT_BUDGET = 4000" in err
 
     @pytest.mark.parametrize("tower", ["zpd:2000", "zpd:1000000"])
     def test_layer_degree_past_bit_budget(self, capsys, tower):
@@ -485,8 +519,9 @@ class TestBounds:
                                  "--mu0", "0", "--assume-mhg")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: LimitTooLarge:")
-        assert "LAYER_BIT_BUDGET" in err
+        d = int(tower[4:])
+        assert err.startswith(f"error: LimitTooLarge: e * bitlen(p) for the layer degree "
+                              f"7^{(d - 1) * 12} is {(d - 1) * 36}, past BIT_BUDGET = 10000")
 
     def test_layer_degree_at_bit_budget(self, capsys):
         # (d - 1) * 12 * bitlen(7) is 9,972 bits at d = 278, accepted, and
@@ -497,7 +532,7 @@ class TestBounds:
         assert out.splitlines()[-1].split()[0] == "12"
         code, _, err = run_cli(capsys, "bounds", "11a1", "--tower", "zpd:279", *argv)
         assert code == 1
-        assert "LimitTooLarge" in err
+        assert "is 10008, past BIT_BUDGET = 10000" in err
 
     def test_missing_base_data(self, capsys):
         # 11a3 carries no base invariants; flags are required
@@ -529,12 +564,12 @@ class TestKida:
                                  "--assume-mhg", "--ram", "P1:7^1")
         assert code == 2
         assert out == ""
-        assert err.strip() == "usage error: level=1000000000 exceeds level cap 12"
+        assert err.strip() == "usage error: level is 1000000000, past LEVEL_CAP = 12"
         code, _, err = run_cli(capsys, "bounds", "11a2", "--tower", "falsetate:11",
                                "--p", "7", "--lambda0", "0", "--mu0", "0",
                                "--assume-mhg", "--nmax", "13")
         assert code == 2
-        assert "exceeds level cap 12" in err
+        assert err.strip() == "usage error: n_max is 13, past LEVEL_CAP = 12"
 
     def test_layer_degree_past_bit_budget(self, capsys):
         code, out, err = run_cli(capsys, "kida", "--tower", "zpd:1000000000",
@@ -578,7 +613,8 @@ class TestKida:
                                     "--lambda0", str(lam), "--assume-mhg",
                                     "--ram", f"P2:5^{count}")
             assert (got, out == "") == (code, code == 1)
-            assert ("BASE_BIT_BUDGET = 4000" in err) == (code == 1)
+            what = "lambda0" if over == "lambda0" else "good_torsion count"
+            assert (f"bitlen({what}) is 4001, past BASE_BIT_BUDGET = 4000" in err) == (code == 1)
 
 
 _KIDA = ("kida", "--tower", "falsetate:11", "--p", "7", "--n", "1", "--lambda0", "0",

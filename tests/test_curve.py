@@ -7,13 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    P73,
     brute_count_projective,
     brute_point_order,
     short_affine_points,
     trial_division_primes,
 )
 from towerbounds import curve as curve_mod
-from towerbounds.arith import is_prime
+from towerbounds.arith import BIT_BUDGET, is_prime
 from towerbounds.curve import (
     MESTRE_BOUND,
     ReductionType,
@@ -31,6 +32,7 @@ from towerbounds.curve import (
 from towerbounds.errors import (
     BadReduction,
     EqualPrimes,
+    LimitTooLarge,
     NonMinimalModel,
     SingularCurve,
     SmallPrime,
@@ -192,6 +194,15 @@ class TestCountPointsExt:
         with pytest.raises(ValueError):
             count_points_ext(curve_11a3, 5, 0)
 
+    @pytest.mark.parametrize("ell,k", [(11, 10**6), (P73, 137)])
+    def test_budget_before_any_count(self, ell, k):
+        # disc = -432 ell (ell + 4): counting first would raise BadReduction.
+        # 73 * 137 = 10,001 bits is one past BIT_BUDGET
+        E = make_curve(0, 0, 0, -3, 2 + ell)
+        bits = k * ell.bit_length()
+        with pytest.raises(LimitTooLarge, match=rf"F_{ell}\^{k} is {bits}, past BIT_BUDGET"):
+            count_points_ext(E, ell, k)
+
 
 class TestGoodOrdinary:
     def test_ordinary_cases(self, curve_11a2, curve_11a3):
@@ -263,7 +274,7 @@ class TestResidueTrace:
         # built.  13^k and the Frobenius matrix mod 7 have periods dividing
         # #GL_2(F_7) = 2016, so the answer is the one at k mod 2016, counted exactly.
         k = 10**12
-        assert k * (13).bit_length() > curve_mod.EXT_BIT_BUDGET
+        assert k * (13).bit_length() > BIT_BUDGET
         exact = count_points_ext(curve_11a3, 13, k % 2016).count
         assert has_p_torsion_over(curve_11a3, 13, 7, k) == (exact % 7 == 0)
 

@@ -54,6 +54,13 @@ class TestPadicSeries:
             PadicSeries(p=5, prec=0, coeffs=(1,))
 
 
+class TestIwasawaInvariants:
+    @pytest.mark.parametrize("mu,lam", [(-1, 0), (0, -1)])
+    def test_negative_refused(self, mu, lam):
+        with pytest.raises(ValueError, match="invariants must be >= 0"):
+            IwasawaInvariants(mu=mu, lam=lam)
+
+
 class TestDistinguishedPoly:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty coefficient list"):

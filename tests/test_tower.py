@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import P73
 from towerbounds.curve import make_curve
 from towerbounds.errors import LimitTooLarge, NotGoodOrdinary, SmallBadPrime
 from towerbounds.tower import (
     QSets,
     TowerKind,
     TowerSpec,
+    check_witnesses,
     compute_qsets,
     cyc_layer_degree,
     full_layer_degree,
@@ -35,6 +37,10 @@ class TestTowerSpec:
             TowerSpec.false_tate(7, 10)
         with pytest.raises(ValueError):
             TowerSpec(p=7, kind=TowerKind.FALSE_TATE, d=3, ell=11)
+
+    def test_torsion_dimension(self):
+        with pytest.raises(ValueError, match="torsion-field towers have dimension 4"):
+            TowerSpec(p=7, kind=TowerKind.TORSION_FIELD, d=3)
 
     def test_generic_constraints(self):
         with pytest.raises(ValueError):
@@ -71,12 +77,12 @@ class TestLayerDegrees:
         assert full_layer_degree(spec, 2) == 5**8
 
     def test_bit_budget(self):
-        # e * bitlen(7) <= LAYER_BIT_BUDGET = 10,000: 7^3333 is built, 7^3334 is not
+        # e * bitlen(7) <= BIT_BUDGET = 10,000: 7^3333 is built, 7^3334 is not
         spec = TowerSpec.zpd_composite(7, 3334)
         assert cyc_layer_degree(spec, 1) == 7**3333
-        with pytest.raises(LimitTooLarge, match="LAYER_BIT_BUDGET"):
+        with pytest.raises(LimitTooLarge, match=r"degree 7\^3334 is 10002, past BIT_BUDGET"):
             full_layer_degree(spec, 1)
-        with pytest.raises(LimitTooLarge):
+        with pytest.raises(LimitTooLarge, match="is 35999999964, past BIT_BUDGET = 10000"):
             cyc_layer_degree(TowerSpec.zpd_composite(7, 10**9), 12)
 
     def test_bit_budget_edge(self):
@@ -84,8 +90,25 @@ class TestLayerDegrees:
         # level 10, which the budget admits, and 11,000 at level 11
         spec = TowerSpec.zpd_composite(17, 201)
         assert cyc_layer_degree(spec, 10) == 17**2000
-        with pytest.raises(LimitTooLarge, match="= 11000 exceeds the budget LAYER_BIT_BUDGET"):
+        with pytest.raises(LimitTooLarge, match=r"17\^2200 is 11000, past BIT_BUDGET = 10000$"):
             cyc_layer_degree(spec, 11)
+
+    @pytest.mark.parametrize("degree,p,d,e", [
+        (full_layer_degree, 17, 2000, 2000),
+        # bitlen(P73) = 73: e = 136 gives 9,928 bits, and e = 137 gives 10,001,
+        # one past the budget
+        (cyc_layer_degree, P73, 137, 136),
+        (cyc_layer_degree, P73, 138, 137),
+        (full_layer_degree, P73, 137, 137),
+    ])
+    def test_bit_budget_edge_at_level_one(self, degree, p, d, e):
+        spec, bits = TowerSpec.zpd_composite(p, d), e * p.bit_length()
+        if bits <= 10_000:
+            assert degree(spec, 1) == p**e
+        else:
+            with pytest.raises(LimitTooLarge,
+                               match=rf"{p}\^{e} is {bits}, past BIT_BUDGET = 10000$"):
+                degree(spec, 1)
 
     def test_negative_level(self):
         spec = TowerSpec.zpd_composite(5, 2)
@@ -174,3 +197,34 @@ class TestComputeQSets:
         # ell = 2 is a good prime for 11a3, so the false-Tate tower at 2 works
         qs = compute_qsets(curve_11a3, TowerSpec.false_tate(5, 2))
         assert qs.q1 == 0
+
+
+class TestCheckWitnesses:
+    @pytest.mark.parametrize("label,spec", [
+        ("11a2", TowerSpec.false_tate(7, 11)),
+        ("11a3", TowerSpec.false_tate(5, 31)),
+        ("37a1", TowerSpec.false_tate(5, 37)),
+        ("11a2", TowerSpec.generic(7, 3, [11, 13, 29])),
+        ("11a2", TowerSpec.torsion_field(7)),
+        ("11a2", TowerSpec.zpd_composite(7, 3)),
+    ])
+    def test_computed_qsets_admitted(self, corpus, label, spec):
+        q = compute_qsets(corpus[label].curve, spec)
+        assert check_witnesses(spec, q) is q
+
+    @pytest.mark.parametrize("spec,q,message", [
+        (TowerSpec.zpd_composite(7, 3), QSets(5, 0, ((11, 5),)), "11 is not ramified"),
+        (TowerSpec.false_tate(7, 11), QSets(1, 0, ((13, 1),)), "13 is not ramified"),
+        # 11 and 13 split into 2 and 3 primes on the 7-cyclotomic line
+        (TowerSpec.false_tate(7, 11), QSets(3, 0, ((11, 3),)), "11 has count 3, but 2 primes"),
+        (TowerSpec.generic(7, 3, [11, 13]), QSets(0, 2, (), ((13, 2),)),
+         "13 has count 2, but 3 primes"),
+        (TowerSpec.torsion_field(7), QSets(1, 3, ((11, 1),), ((13, 3),)), "q2 = 0, got 3"),
+        (TowerSpec.torsion_field(7), QSets(2, 0, ((11, 2),)), r"\(11, 2\) is not"),
+        (TowerSpec.torsion_field(7), QSets(1, 0, ((7, 1),)), "a prime != 7"),
+        (TowerSpec.torsion_field(7), QSets(1, 0, ((3, 1),)), "must be an integer >= 5"),
+        (TowerSpec.torsion_field(7), QSets(1, 0, ((9, 1),)), "must be a prime >= 5"),
+    ])
+    def test_forged_witnesses_refused(self, spec, q, message):
+        with pytest.raises(ValueError, match=message):
+            check_witnesses(spec, q)
