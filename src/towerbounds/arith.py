@@ -171,7 +171,7 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # trial division by 6k+-1 up to a small bound, then rho on what is left
+    # trial division by each odd f from 53 below 10^4 (while f^2 <= n), then rho on the rest
     f = 53
     while f * f <= n and f < 10_000:
         while n % f == 0:
@@ -201,7 +201,7 @@ def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)
-    return phi if n > 1 else 1
+    return phi
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -141,9 +141,8 @@ def is_minimal_at(E: WeierstrassCurve, ell: int) -> bool:
 def _is_minimal_at(E: WeierstrassCurve, ell: int) -> bool:
     if E.disc % ell:
         return True
-    if arith.padic_valuation(E.disc, ell) < 12:
-        return True
-    return E.c4 != 0 and arith.padic_valuation(E.c4, ell) < 4
+    # v_ell(disc) < 12 or v_ell(c4) < 4; a zero c4 is divisible by any ell^4
+    return E.disc % ell**12 != 0 or E.c4 % ell**4 != 0
 
 
 def reduction_type(E: WeierstrassCurve, ell: int) -> ReductionType:
@@ -430,8 +429,12 @@ def has_p_torsion_over(E: WeierstrassCurve, ell: int, p: int, k: int) -> bool:
     if arith.check_prime(p, "p") == ell:
         raise EqualPrimes(f"torsion test needs ell != p, both were {p}")
     arith.check_int(k, "extension degree", 1)
-    s_k = _trace_mod(count_points(E, ell), k, p)
-    return (pow(ell, k, p) + 1 - s_k) % p == 0
+    return _p_divides_count(count_points(E, ell), k, p)
+
+
+def _p_divides_count(base: PointCount, k: int, p: int) -> bool:
+    # p | #E(F_{ell^k}) = ell^k + 1 - s_k, for base = #E(F_ell)
+    return (pow(base.ell, k, p) + 1 - _trace_mod(base, k, p)) % p == 0
 
 
 def bad_primes(E: WeierstrassCurve) -> tuple[int, ...]:

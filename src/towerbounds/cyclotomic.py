@@ -44,17 +44,19 @@ def _check_pair(ell: int, p: int) -> None:
 
 
 def splitting_finite(ell: int, p: int, level: int) -> int:
-    """Number of primes above ell at finite level: phi(p^level)/ord_{p^level}(ell).
+    """Number of primes above ell at finite level n = level, phi(p^n)/ord_{p^n}(ell),
+    read off splitting_infinite's certified data f and m:
 
-    Past the stable level m >= 1 the order is f * p^(level - m), so from level
-    m + 2 on this is splitting_infinite's g, whose order certificate covers
-    levels m and m + 1; below m + 2 the order is computed."""
+        g_n = (p - 1) * p^(min(n, m) - 1) / f.
+
+    The order of ell mod p^n is f for n <= m, since ell^f = 1 mod p^m; it is
+    f p at n = m + 1 by the order certificate; and lifting the exponent
+    (p >= 5) multiplies it by p at each later level, so it is f p^(n - m)
+    past m."""
     _check_pair(ell, p)
-    if arith.check_int(level, "level", 1) > 2:
-        data = _splitting_infinite(ell, p)
-        if level > data.stable_level + 1:
-            return data.num_primes
-    return (p - 1) * p ** (level - 1) // arith.multiplicative_order(ell, p**level)
+    arith.check_int(level, "level", 1)
+    data = _splitting_infinite(ell, p)
+    return (p - 1) * p ** (min(level, data.stable_level) - 1) // data.residue_order
 
 
 def splitting_infinite(ell: int, p: int) -> SplittingData:

@@ -21,9 +21,9 @@ ells[i::procs].  This process computes share 0 and forks one child per
 other share; each child sends its counts, or the exception it raised,
 through a pipe and leaves by os._exit.  This process kills its children if
 anything fails, and reaps every child before the scan returns.  With procs
-at most 1, or where os.fork is absent, the scan runs serially and starts no
-process.  The merge is by position, so results do not depend on the worker
-count.
+at most 1, or where os.fork is absent, this process computes the one share
+and starts no process.  The merge is by position, so results do not depend
+on the worker count.
 
 Scope note: the scan universe is primes 5 <= ell <= X excluding p and the
 bad primes; 2 and 3 are left out because reduction classification below 5 is
@@ -115,16 +115,17 @@ def _child(E: WeierstrassCurve, p: int, ells: list[int], r: int, w: int) -> None
 
 
 def _forked_counts(E: WeierstrassCurve, p: int, ells: list[int], procs: int) -> list[int]:
-    """count_mod over ``ells`` on ``procs`` processes: this one computes
+    """count_mod over ``ells`` on ``procs`` >= 1 processes: this one computes
     ells[0::procs] and forks one child for each other stride, merged by
-    position.  Children are killed on any error and always reaped."""
-    import pickle
-    import signal
-
+    position.  Children are killed on any error and always reaped.  At one
+    process nothing is forked, and neither pickle nor signal is imported."""
     counts = [0] * len(ells)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
         for i in range(1, procs):
+            import pickle
+            import signal
+
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -168,11 +169,8 @@ def _scan(E: WeierstrassCurve, p: int, limit: int, mode: str, workers: int,
             and (mode != "qvanish" or ell % p == 1)]
     if not ells:
         raise EmptyScan(f"no eligible primes up to {limit}")
-    procs = min(workers, len(ells) // _MIN_SHARE, os.cpu_count() or 1)
-    if procs > 1 and hasattr(os, "fork"):
-        counts = _forked_counts(E, p, ells, procs)
-    else:
-        counts = _counts(E, p, ells)
+    procs = max(1, min(workers, len(ells) // _MIN_SHARE, os.cpu_count() or 1))
+    counts = _forked_counts(E, p, ells, procs if hasattr(os, "fork") else 1)
     # a torsion hit is p | #E(F_ell), a qvanish hit the opposite
     hits = [(nm == 0) == (mode == "torsion") for nm in counts]
     return DensityReport(

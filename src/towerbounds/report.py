@@ -10,9 +10,13 @@ report field by field as JSON text, so that 2401.0 or true never passes for
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from . import arith, bounds, curve, cyclotomic, tower
-from .density import DensityReport
+from . import tower
+
+if TYPE_CHECKING:  # the library modules a rebuild needs are imported by _rebuild
+    from . import bounds, curve, cyclotomic
+    from .density import DensityReport
 
 SCHEMA = 1
 
@@ -115,6 +119,9 @@ def _qsets(spec: tower.TowerSpec, obj: dict) -> tower.QSets:
 
 def _rebuild(obj: dict) -> dict:
     """The report that the inputs named in obj give."""
+    from . import arith, bounds, curve, cyclotomic
+    from .density import DensityReport
+
     kind = obj["kind"]
     if kind == "invariants":
         return invariants_json(curve.curve_from_ainvs(obj["ainvs"], label=obj["label"]))

@@ -152,35 +152,33 @@ class QSets:
             raise ValueError(f"witness primes must be pairwise distinct: {primes}")
 
 
+def _reduction_at(E: curve.WeierstrassCurve, ell: int) -> curve.ReductionType:
+    """E's reduction type at a prime ell, which the caller has proved (TowerSpec
+    or factorize), so curve's unchecked helper is called.  A bad prime below 5
+    cannot be classified (SmallBadPrime)."""
+    if ell >= 5:
+        return curve._reduction_type(E, ell)
+    if E.disc % ell == 0:
+        raise SmallBadPrime(f"cannot classify reduction at bad prime {ell} < 5")
+    return curve.ReductionType.GOOD
+
+
 def _classify_at(E: curve.WeierstrassCurve, ell: int, p: int) -> tuple[int, int]:
     """(split-multiplicative count, good-with-torsion count) contributed by ell.
 
-    Counts are numbers of primes above ell on the cyclotomic line.  A bad
-    prime below 5 cannot be classified (SmallBadPrime).  TowerSpec has proved
-    ell and p prime and ell != p, so the unchecked helpers are called.
-
-    At a good prime the residue degree is f = ord_p(ell), so ell^f = 1 mod p
-    and #E(F_{ell^f}) = ell^f + 1 - s_f = 2 - s_f mod p: the test takes s_f mod
-    p from curve._trace_mod in O(log f) steps, and never builds a count of
-    size ell^f.
+    Counts are numbers of primes above ell on the cyclotomic line.  TowerSpec
+    has proved ell and p prime and ell != p, so the unchecked helpers are
+    called.  At a good prime the residue degree is f = ord_p(ell), and the
+    test is p | #E(F_{ell^f}), decided on residues mod p without building a
+    count of size ell^f.
     """
-    if ell < 5:
-        if E.disc % ell == 0:
-            raise SmallBadPrime(
-                f"cannot classify reduction at bad prime {ell} < 5"
-            )
-        rt = curve.ReductionType.GOOD
-    else:
-        rt = curve._reduction_type(E, ell)
+    rt = _reduction_at(E, ell)
     if rt is curve.ReductionType.SPLIT_MULTIPLICATIVE:
-        g = cyclotomic._splitting_infinite(ell, p).num_primes
-        return g, 0
+        return cyclotomic._splitting_infinite(ell, p).num_primes, 0
     if rt is curve.ReductionType.GOOD:
         data = cyclotomic._splitting_infinite(ell, p)
-        s_f = curve._trace_mod(curve._count_points(E, ell), data.residue_order, p)
-        if (2 - s_f) % p == 0:
+        if curve._p_divides_count(curve._count_points(E, ell), data.residue_order, p):
             return 0, data.num_primes
-        return 0, 0
     return 0, 0
 
 
@@ -222,15 +220,9 @@ def compute_qsets(E: curve.WeierstrassCurve, spec: TowerSpec) -> QSets:
         return QSets(0, 0)
 
     if spec.kind is TowerKind.TORSION_FIELD:
-        wits = []
-        for ell in curve.bad_primes(E):
-            if ell < 5:
-                raise SmallBadPrime(
-                    f"cannot classify reduction at bad prime {ell} < 5"
-                )
-            if curve.reduction_type(E, ell) is curve.ReductionType.SPLIT_MULTIPLICATIVE:
-                wits.append((ell, 1))
-        return QSets(q1=len(wits), q2=0, witnesses_q1=tuple(wits))
+        wits = tuple((ell, 1) for ell in curve.bad_primes(E)
+                     if _reduction_at(E, ell) is curve.ReductionType.SPLIT_MULTIPLICATIVE)
+        return QSets(q1=len(wits), q2=0, witnesses_q1=wits)
 
     w1, w2 = [], []
     for ell in sorted(_ramified(spec)):

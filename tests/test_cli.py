@@ -735,6 +735,8 @@ IMPORT_CALLS = {
     "reduction": (["reduction", "11a2", "--ell", "13"], _POOL),
     "count": (["count", "11a3", "--ell", "7"], _POOL),
     "splitting": (["splitting", "--ell", "11", "--p", "7"], _DENSITY_BOUNDS),
+    # the report layer loads the modules a rebuild needs only for that rebuild
+    "splitting_json": (["splitting", "--ell", "11", "--p", "7", "--json"], _DENSITY_BOUNDS),
     "qsets": (["qsets", "11a2", "--tower", "generic:2:11,13", "--p", "7"], _POOL),
     "bounds": (JSON_CALLS["bounds"], _POOL),
     "kida": ([*_KIDA, "P1:7^2"], _POOL),
@@ -767,6 +769,22 @@ class TestImportCost:
         assert code == 0
         assert sorted(forbidden & set(modules)) == []
 
+    def test_one_process_scan_starts_no_fork_machinery(self):
+        # 164 primes run in this process alone: pickle and signal serve only
+        # the forking side; numpy loads pickle itself, so check what main adds
+        code = ("import contextlib, io, json, sys\n"
+                "from towerbounds import cli\n"
+                "before = set(sys.modules)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(sys.argv[1:])\n"
+                "added = set(sys.modules) - before\n"
+                "print(json.dumps([code, sorted({'pickle', 'signal'} & added)]))\n")
+        src = str(Path(towerbounds.__file__).resolve().parents[1])
+        argv = ["density", "11a2", "--p", "7", "--limit", "1000", "--mode", "torsion"]
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert json.loads(out) == [0, []]
+
     def test_package_import_skips_cli_and_report(self):
         # the package import is what every library user pays for
         code = ("import sys, towerbounds; "
@@ -776,6 +794,15 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
         assert out.strip() == "[]"
+
+    def test_package_import_loads_no_submodule(self):
+        # names are imported from their own modules, so the root loads none
+        code = ("import sys, towerbounds; print(towerbounds.__version__, "
+                "sorted(m for m in sys.modules if m.startswith('towerbounds.')))")
+        src = str(Path(towerbounds.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "0.1.0 []"
 
 
 class TestByteStability:

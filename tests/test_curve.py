@@ -78,6 +78,16 @@ class TestMinimality:
         with pytest.raises(NonMinimalModel):
             reduction_type(E, 5)
 
+    def test_valuation_edges_at_5(self, corpus):
+        # 11a1 scaled by u = 5 has v_5(c4) = 4 and v_5(disc) = 12 exactly: both
+        # tests fail by one, where c4 = 0 above fails at any valuation
+        a1, a2, a3, a4, a6 = corpus["11a1"].curve.ainvs
+        E = make_curve(5 * a1, 25 * a2, 125 * a3, 625 * a4, 5**6 * a6)
+        assert E.c4 % 5**4 == 0 != E.c4 % 5**5 and E.disc % 5**12 == 0 != E.disc % 5**13
+        assert not is_minimal_at(E, 5)
+        # v_5(c4) = 4 and v_5(disc) = 10: the discriminant test passes
+        assert is_minimal_at(make_curve(0, 0, 0, 5**4, 5**5), 5)
+
     def test_corpus_minimal_at_all_relevant_primes(self, corpus):
         for entry in corpus.values():
             E = entry.curve

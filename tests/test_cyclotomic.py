@@ -10,6 +10,8 @@ from towerbounds import cyclotomic
 from towerbounds.cyclotomic import splitting_finite, splitting_infinite
 from towerbounds.errors import EqualPrimes, InternalInvariantViolation
 
+_PRIMES = [q for q in range(2, 3000) if is_prime(q)]
+
 
 class TestSplittingFinite:
     def test_matches_order_formula(self):
@@ -20,6 +22,19 @@ class TestSplittingFinite:
                 for n in (1, 2, 3):
                     g = splitting_finite(ell, p, n)
                     assert g == euler_phi(p**n) // brute_multiplicative_order(ell, p**n)
+
+    @given(st.sampled_from(_PRIMES), st.sampled_from([q for q in _PRIMES[2:] if q < 60]))
+    @example(7, 5)    # m = 2
+    @example(3, 11)   # m = 2
+    @example(101, 5)  # f = 1, m = 2
+    @example(251, 5)  # m = 3
+    def test_below_at_and_above_stable_level(self, ell, p):
+        if ell == p:
+            return
+        m = splitting_infinite(ell, p).stable_level
+        for n in range(1, m + 3):
+            want = euler_phi(p**n) // brute_multiplicative_order(ell, p**n)
+            assert splitting_finite(ell, p, n) == want
 
     def test_known_value(self):
         # 11 has order 3 mod 7, so x^7-1 style splitting gives (7-1)/3 = 2 primes
@@ -37,9 +52,6 @@ class TestSplittingFinite:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             splitting_finite(11, 7, 0)
-
-
-_PRIMES = [q for q in range(2, 3000) if is_prime(q)]
 
 
 class TestSplittingInfinite:
