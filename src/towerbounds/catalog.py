@@ -82,7 +82,10 @@ def parse_entry(obj, where: str = "curve entry") -> CurveFileEntry:
 def load_curve_file(path: str | Path) -> dict[str, CurveFileEntry]:
     """Parse a JSON-lines curve file into an ordered {label: entry} map."""
     out: dict[str, CurveFileEntry] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ValueError(f"cannot read curve file {path}: {e.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

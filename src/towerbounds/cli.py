@@ -307,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ramification data, e.g. 'P1:7^2;P2:5^1,25^3'")
     p.set_defaults(func=_cmd_kida)
 
-    p = sub.add_parser("wprep", help="Weierstrass preparation of a p-adic series")
+    p = sub.add_parser("wprep", help="Weierstrass preparation of a p-adic series", description=(
+        "Print mu and lambda of the declared truncation: the series' own when a unit coefficient "
+        "is declared, or when mu is known to be attained within the declared length; "
+        "'5 3 3 : 50 75 100' gives mu=2 whatever follows T^2, where a unit may hide."))
     p.add_argument("--series", required=True,
                    help="series text 'p M N : c0 c1 ... c_{N-1}'")
     p.set_defaults(func=_cmd_wprep)
@@ -317,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--limit", type=int, required=True, metavar="X")
     p.add_argument("--mode", choices=("torsion", "qvanish"), required=True)
-    p.add_argument("--csv", action="store_true", help="emit per-prime CSV rows")
-    p.add_argument("--json", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--csv", action="store_true", help="emit per-prime CSV rows")
+    out.add_argument("--json", action="store_true")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="processes, this one included (default 1); each takes a stride "
                         "share of at least 256 primes, and the scan runs serially "

@@ -19,8 +19,8 @@ enforced.  Classification below 5 needs Tate's algorithm and is out of scope.
 
 Point counts at ell >= 5 come from one kernel, frobenius_trace: above
 ell = 229 a baby-step giant-step count that carries Mestre's certificate,
-O(ell^(1/4)) group operations per prime; at or below 229, or should the
-certificate stay undecided, a character sum.
+O(ell^(1/4)) group operations per prime; at or below 229 a character sum.
+At ell in {2, 3} the count is a brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ def _reduction_type(E: WeierstrassCurve, ell: int) -> ReductionType:
     if E.disc % ell:
         return ReductionType.GOOD
     if E.c4 % ell:
-        s = arith.legendre_symbol(-E.c6, ell)
+        # Euler's criterion: -c6 is a square mod ell iff s = 1
+        s = pow(-E.c6, (ell - 1) // 2, ell)
         if s == 0:
             # ell | disc and ell does not divide c4 force ell to miss c6
             raise InternalInvariantViolation("c6 = 0 mod ell in multiplicative case")
@@ -178,9 +179,6 @@ def _reduction_type(E: WeierstrassCurve, ell: int) -> ReductionType:
 # ell > 229, E or its quadratic twist has a point whose order has exactly one
 # multiple in the Hasse interval.
 MESTRE_BOUND = 229
-# x-coordinates tried, each giving a point of E or of its twist, before the
-# character sum decides
-_CERTIFICATE_POINTS = 16
 
 
 def frobenius_trace(E: WeierstrassCurve, ell: int) -> int:
@@ -190,30 +188,34 @@ def frobenius_trace(E: WeierstrassCurve, ell: int) -> int:
     ell > 229 the count is certified by baby-step giant-step on the short
     model y^2 = x^3 - 27 c4 x - 54 c6 (Cohen, A Course in Computational
     Algebraic Number Theory, 7.4.3): #E is a multiple of the lcm M of the
-    exact orders of a few points of E, and the twist's order 2 ell + 2 - #E
-    a multiple of the lcm M' of its points' orders.  A trace is returned
-    only when one N in the integer Hasse interval
+    exact orders of points of E, and the twist's order 2 ell + 2 - #E a
+    multiple of the lcm M' of its points' orders.  Points are taken at
+    x = 0, 1, 2, ... until one N in the integer Hasse interval
     [ell + 1 - isqrt(4 ell), ell + 1 + isqrt(4 ell)] has M | N and
-    M' | 2 ell + 2 - N, which proves N = #E.  Each exact order comes from one
-    x-only +- sweep (_order), about sqrt(8) ell^(1/4) group additions for the
-    first point.  For ell <= 229, or should the certificate stay undecided,
-    the character sum decides.
+    M' | 2 ell + 2 - N, which proves N = #E.  That takes a point or two in
+    practice; once every x is taken, M and M' are the group exponents, and
+    one of them has a single multiple in the interval (Cremona and
+    Sutherland, On a theorem of Mestre and Schoof, J. Theor. Nombres
+    Bordeaux 22, 2010).  Each exact order comes from one x-only +- sweep
+    (_order), about sqrt(8) ell^(1/4) group additions for the first point.
+    For ell <= 229 the character sum decides.
     """
     if ell <= MESTRE_BOUND:
         return _charsum_trace(E, ell)
-    t = _certified_trace(-27 * E.c4 % ell, -54 * E.c6 % ell, ell)
-    return t if t is not None else _charsum_trace(E, ell)
+    return _certified_trace(-27 * E.c4 % ell, -54 * E.c6 % ell, ell)
 
 
-def _certified_trace(A: int, B: int, ell: int) -> int | None:
+def _certified_trace(A: int, B: int, ell: int) -> int:
     # Each x with f = x^3 + A x + B != 0 gives the point (x f, f^2) on
     # y^2 = x^3 + A f^2 x + B f^3: a model of E (side 1) when f is a square
     # mod ell, of its twist (side -1) when not.  The twist's trace is -a_ell,
-    # and N -> 2 ell + 2 - N maps the Hasse interval onto itself.
+    # and N -> 2 ell + 2 - N maps the Hasse interval onto itself.  The x with
+    # f = 0 give 2-torsion points, which the others generate: a group they
+    # missed would have at most |G| / 2 + 4 points, so at most 8.
     w = isqrt(4 * ell)
     lo, hi = ell + 1 - w, ell + 1 + w
     lcm = {1: 1, -1: 1}
-    for x in range(_CERTIFICATE_POINTS):
+    for x in range(ell):
         f = (x * x * x + A * x + B) % ell
         if f == 0:
             continue
@@ -224,12 +226,13 @@ def _certified_trace(A: int, B: int, ell: int) -> int | None:
         lcm[side] = m * _order(Q, -(-lo // m), hi // m, a, ell)
         # step through the multiples of the larger lcm, on its own side
         step, sign = max((lcm[1], 1), (lcm[-1], -1))
-        # two hits already leave the certificate undecided
+        # two hits leave it undecided until more points are taken
         hits = list(islice((n for n in range(-(-lo // step) * step, hi + 1, step)
                             if (2 * ell + 2 - n) % lcm[-sign] == 0), 2))
         if len(hits) == 1:
             return sign * (ell + 1 - hits[0])
-    return None
+    raise InternalInvariantViolation(
+        f"no certificate from the group exponents at {ell} > {MESTRE_BOUND}")
 
 
 def _order(Q, t_lo: int, t_hi: int, a: int, ell: int) -> int:
@@ -294,11 +297,10 @@ def _order(Q, t_lo: int, t_hi: int, a: int, ell: int) -> int:
 
 
 def _add(P, Q, a: int, ell: int):
-    """P + Q on y^2 = x^3 + a x + b over F_ell; None is the point at infinity."""
+    """P + Q on y^2 = x^3 + a x + b over F_ell; None is the point at infinity,
+    which Q is only when P is (_mul doubling it)."""
     if P is None:
         return Q
-    if Q is None:
-        return P
     x1, y1 = P
     x2, y2 = Q
     if x1 == x2:
@@ -312,12 +314,13 @@ def _add(P, Q, a: int, ell: int):
 
 
 def _mul(k: int, P, a: int, ell: int):
-    R = None
-    while k:
-        if k & 1:
+    """k P for k >= 1, left to right from P: 1 P costs nothing, and no
+    doubling runs past the top bit."""
+    R = P
+    for bit in bin(k)[3:]:
+        R = _add(R, R, a, ell)
+        if bit == "1":
             R = _add(R, P, a, ell)
-        P = _add(P, P, a, ell)
-        k >>= 1
     return R
 
 
@@ -331,23 +334,6 @@ def _charsum_trace(E: WeierstrassCurve, ell: int) -> int:
     return ell - sum(roots[(((4 * x + B2) * x + B4) * x + B6) % ell] for x in range(ell))
 
 
-def _count_small(E: WeierstrassCurve, ell: int) -> PointCount:
-    # Brute-force count over F_2 / F_3 on the long equation; good reduction
-    # is taken as ell not dividing disc (model assumed minimal at ell).
-    if E.disc % ell == 0:
-        raise BadReduction(f"{E.label or E.ainvs} has bad reduction at {ell}")
-    a1, a2, a3, a4, a6 = E.ainvs
-    n = 1  # point at infinity
-    for x in range(ell):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % ell
-        for y in range(ell):
-            if (y * y + a1 * x * y + a3 * y - rhs) % ell == 0:
-                n += 1
-    pc = PointCount(ell, 1, n, ell + 1 - n)
-    pc.validate()
-    return pc
-
-
 def count_points(E: WeierstrassCurve, ell: int) -> PointCount:
     """#E(F_ell) for a prime of good reduction.
 
@@ -358,11 +344,14 @@ def count_points(E: WeierstrassCurve, ell: int) -> PointCount:
 
 
 def _count_points(E: WeierstrassCurve, ell: int) -> PointCount:
-    if ell in (2, 3):
-        return _count_small(E, ell)
-    if _reduction_type(E, ell) is not ReductionType.GOOD:
+    # At 2 and 3 good reduction is taken as ell not dividing disc (the model
+    # is assumed minimal there), and the trace is ell minus the number of
+    # affine points of the long equation.
+    if E.disc % ell == 0 if ell < 5 else _reduction_type(E, ell) is not ReductionType.GOOD:
         raise BadReduction(f"{E.label or E.ainvs} has bad reduction at {ell}")
-    t = frobenius_trace(E, ell)
+    t = frobenius_trace(E, ell) if ell >= 5 else ell - sum(
+        (y * y + E.a1 * x * y + E.a3 * y - x**3 - E.a2 * x * x - E.a4 * x - E.a6) % ell == 0
+        for x in range(ell) for y in range(ell))
     pc = PointCount(ell, 1, ell + 1 - t, t)
     pc.validate()
     return pc

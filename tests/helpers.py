@@ -131,3 +131,49 @@ def strong_probable_prime_all_bases(n: int) -> bool:
         if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(s)):
             return False
     return True
+
+
+def hasse_invariant_trace(ainvs, ell: int) -> int | None:
+    """a_ell of the curve with these a-invariants, for a prime ell >= 17 of
+    good reduction, from the Hasse invariant; None when ell divides B below.
+
+    On the short model y^2 = f(x) = x^3 + A x + B, A = -27 c4, B = -54 c6,
+    #E = 1 + ell + sum_x (f(x) / ell), and (f / ell) = f^n mod ell for
+    n = (ell - 1) / 2.  A sum of x^j over F_ell is -1 mod ell when j > 0 and
+    ell - 1 divides j, and 0 otherwise; f^n has degree 3n < 2 (ell - 1), so
+    a_ell = [x^(ell - 1)] f^n mod ell, and |a_ell| <= 2 sqrt(ell) < ell / 2
+    picks the lift.  The coefficients g_k of f^n follow from f g' = n f' g
+    with n = -1/2 mod ell:
+        2 B (k + 1) g_{k+1} = -A (2k + 1) g_k - (2k - 1) g_{k-2}.
+    """
+    assert ell >= 17
+    a1, a2, a3, a4, a6 = ainvs
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    c4, c6 = b2 * b2 - 24 * b4, -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    A, B = -27 * c4 % ell, -54 * c6 % ell
+    if B == 0:
+        return None
+    inv = [0, 1]  # inv[i] = 1 / i mod ell, each from the one at ell mod i
+    for i in range(2, ell):
+        inv.append(-(ell // i) * inv[ell % i] % ell)
+    half_over_b = inv[2 * B % ell]
+    g = [pow(B, (ell - 1) // 2, ell)]
+    for k in range(ell - 1):
+        back = g[k - 2] if k >= 2 else 0
+        g.append((-A * (2 * k + 1) * g[k] - (2 * k - 1) * back) * half_over_b * inv[k + 1] % ell)
+    a = g[ell - 1]
+    return a - ell if a > ell // 2 else a
+
+
+def change_of_model(ainvs, u: int, r: int, s: int, t: int) -> tuple[int, ...]:
+    """The integral model that x = u^2 X + r, y = u^3 Y + u^2 s X + t takes
+    onto the model with these a-invariants: the formulas of Silverman, The
+    Arithmetic of Elliptic Curves, Table 3.1, solved for the other side.  Its
+    c4, c6 and disc are u^4, u^6 and u^12 times the given ones."""
+    b1, b2, b3, b4, b6 = ainvs
+    a1 = u * b1 - 2 * s
+    a2 = u**2 * b2 + s * a1 - 3 * r + s * s
+    a3 = u**3 * b3 - r * a1 - 2 * t
+    a4 = u**4 * b4 + s * a3 - 2 * r * a2 + (t + r * s) * a1 - 3 * r * r + 2 * s * t
+    a6 = u**6 * b6 - r * a4 - r * r * a2 - r**3 + t * a3 + t * t + r * t * a1
+    return a1, a2, a3, a4, a6

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,13 @@ class TestLoadCurveFile:
                      encoding="utf-8")
         with pytest.raises(DuplicateLabel):
             load_curve_file(f)
+
+    @pytest.mark.parametrize("name", ["absent.jsonl", "."])
+    def test_unreadable_path_is_value_error(self, tmp_path, name):
+        # a missing file or a directory: the CLI reports it as a usage error
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=re.escape(f"cannot read curve file {path}: ")):
+            load_curve_file(path)
 
     def test_preserves_order(self, tmp_path):
         f = tmp_path / "c.jsonl"

@@ -649,6 +649,14 @@ class TestWprep:
         code, _, err = run_cli(capsys, "wprep", "--series", "5 2 : 1")
         assert code == 2
 
+    def test_help_states_the_truncation_contract(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wprep", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "mu and lambda of the declared truncation" in text
+        assert "when a unit coefficient is declared" in text
+
     def test_large_declared_precision(self, capsys):
         # the residue check must not build 5^(10^9)
         code, out, _ = run_cli(capsys, "wprep", "--series", "5 1000000000 1 : 1")
@@ -697,6 +705,15 @@ class TestDensity:
         assert code == 1
         assert "EmptyScan" in err
 
+    def test_csv_and_json_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "11a2", "--p", "7", "--limit", "300", "--mode", "torsion",
+                  "--csv", "--json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
+
 
 class TestCurveFileOption:
     def test_custom_file(self, capsys, tmp_path):
@@ -724,6 +741,18 @@ class TestCurveFileOption:
         assert (code, out) == (1, "")
         assert err.startswith("error: MalformedCurveEntry:")
         assert "label must be a non-empty string" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_usage_error(self, tmp_path, kind):
+        # a fresh process, so a traceback would reach stderr
+        path = tmp_path / "absent.jsonl" if kind == "missing" else tmp_path
+        src = str(Path(towerbounds.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "towerbounds", "invariants", "11a1",
+                              "--curves", str(path)], capture_output=True, text=True,
+                             timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith(f"usage error: cannot read curve file {path}:")
+        assert "Traceback" not in out.stderr
 
 
 _POOL = {"concurrent.futures", "multiprocessing"}

@@ -10,6 +10,8 @@ from helpers import (
     P73,
     brute_count_projective,
     brute_point_order,
+    change_of_model,
+    hasse_invariant_trace,
     short_affine_points,
     trial_division_primes,
 )
@@ -298,6 +300,8 @@ class TestBadPrimes:
 
 
 _SMALL_PRIMES = [ell for ell in trial_division_primes(99) if ell >= 5]
+# the Hasse-invariant oracle's range: its lift is unique from 17 on
+_ORACLE_PRIMES = [ell for ell in trial_division_primes(20_000) if ell >= 17]
 _coeff = st.integers(-50, 50)
 _ainvs = st.tuples(_coeff, _coeff, _coeff, _coeff, _coeff)
 
@@ -327,19 +331,59 @@ class TestFrobeniusTrace:
         E = _good_curve(ainvs, ell)
         assert frobenius_trace(E, ell) == curve_mod._charsum_trace(E, ell)
 
-    def test_certificate_decides_on_bundled_curves(self, corpus, monkeypatch):
-        # Mestre's theorem promises a certificate above 229; none of these
-        # pairs may fall back to the character sum.
-        def no_fallback(E, ell):
-            raise AssertionError(f"fallback sum reached for {E.label} at {ell}")
+    @settings(max_examples=200, deadline=None)
+    @given(_ainvs, st.sampled_from(_ORACLE_PRIMES))
+    @example((0, -1, 1, -10, -20), 19_997)  # 11a1 at the top of the range
+    @example((0, 0, 0, 0, 1), 19_991)  # cm432 at a prime = 2 mod 3: a = 0
+    def test_matches_hasse_invariant(self, ainvs, ell):
+        # an oracle from another theorem, sharing no code with the library
+        E = _good_curve(ainvs, ell)
+        a = hasse_invariant_trace(ainvs, ell)
+        assume(a is not None)  # ell | B
+        assert frobenius_trace(E, ell) == a
 
-        monkeypatch.setattr(curve_mod, "_charsum_trace", no_fallback)
+    def test_certificate_decides_on_bundled_curves(self, corpus, monkeypatch):
+        # Mestre's theorem promises a certificate above 229: no pair may reach
+        # the character sum or the certificate's closing raise
+        def no_charsum(E, ell):
+            raise AssertionError(f"character sum reached for {E.label} at {ell}")
+
+        monkeypatch.setattr(curve_mod, "_charsum_trace", no_charsum)
         ells = [ell for ell in trial_division_primes(20_000) if ell > MESTRE_BOUND]
         for entry in corpus.values():
             E = entry.curve
             for ell in ells:
                 if E.disc % ell:
                     frobenius_trace(E, ell)
+
+
+# at a prime dividing u the new model is not minimal: reduction_type must
+# refuse it there, and no count is compared
+_U = st.sampled_from([1, -1, 2, -3, 5, -6])
+_SHIFT = st.integers(-30, 30)
+_MODEL_PRIMES = trial_division_primes(300)
+
+
+class TestChangeOfModel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["11a1", "11a2", "11a3", "15a1", "37a1", "389a1", "5077a1", "cm432"]),
+           _U, _SHIFT, _SHIFT, _SHIFT, st.integers(MESTRE_BOUND + 1, 10**6))
+    def test_counts_and_reduction_types_kept(self, corpus, label, u, r, s, t, start):
+        # every prime below 300 (each count path) and one certificate prime
+        E = corpus[label].curve
+        F = curve_from_ainvs(change_of_model(E.ainvs, u, r, s, t))
+        assert (F.c4, F.c6, F.disc) == (u**4 * E.c4, u**6 * E.c6, u**12 * E.disc)
+        big = next(n for n in range(start, 2 * start) if is_prime(n))
+        for ell in _MODEL_PRIMES + [big]:
+            if u % ell == 0:
+                if ell >= 5:
+                    with pytest.raises(NonMinimalModel):
+                        reduction_type(F, ell)
+                continue
+            if ell >= 5:
+                assert reduction_type(F, ell) is reduction_type(E, ell), ell
+            if E.disc % ell:
+                assert count_points(F, ell) == count_points(E, ell), ell
 
 
 # y^2 = x^3 + x + 1 over F_401 has 432 = 2^4 * 3^3 points, so its point
@@ -423,23 +467,6 @@ class TestCertificateRoots:
         assert frobenius_trace(E, ell) == curve_mod._charsum_trace(E, ell)
         if ell < 300:
             assert frobenius_trace(E, ell) == ell + 1 - brute_count_projective(E.ainvs, ell)
-
-
-class TestFallback:
-    def test_character_sum_decides_without_certificate(self, curve_11a2, monkeypatch):
-        ells = (233, 1009, 10007)
-        certified = [frobenius_trace(curve_11a2, ell) for ell in ells]
-        charsum, calls = curve_mod._charsum_trace, []
-
-        def spy(E, ell):
-            calls.append(ell)
-            return charsum(E, ell)
-
-        monkeypatch.setattr(curve_mod, "_CERTIFICATE_POINTS", 0)
-        monkeypatch.setattr(curve_mod, "_charsum_trace", spy)
-        assert [frobenius_trace(curve_11a2, ell) for ell in ells] == certified
-        assert calls == list(ells)
-        assert certified[0] == 234 - brute_count_projective(curve_11a2.ainvs, 233)
 
 
 def _prime_from(n: int, residue_mod_3: int | None = None) -> int:

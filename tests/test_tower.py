@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import P73
-from towerbounds.curve import make_curve
-from towerbounds.errors import LimitTooLarge, NotGoodOrdinary, SmallBadPrime
+from helpers import P73, change_of_model
+from towerbounds.arith import factorize
+from towerbounds.curve import curve_from_ainvs, make_curve
+from towerbounds.errors import DomainError, LimitTooLarge, NotGoodOrdinary, SmallBadPrime
 from towerbounds.tower import (
     QSets,
     TowerKind,
@@ -228,3 +231,40 @@ class TestCheckWitnesses:
     def test_forged_witnesses_refused(self, spec, q, message):
         with pytest.raises(ValueError, match=message):
             check_witnesses(spec, q)
+
+
+def _qsets_or_error(E, spec):
+    try:
+        return compute_qsets(E, spec)
+    except DomainError as e:
+        return type(e).__name__
+
+
+# towers whose p and ramified primes are all >= 5
+_MODEL_SPECS = [
+    TowerSpec.zpd_composite(7, 2),
+    TowerSpec.false_tate(7, 11),
+    TowerSpec.false_tate(5, 37),
+    TowerSpec.false_tate(13, 389),
+    TowerSpec.torsion_field(7),
+    TowerSpec.torsion_field(13),
+    TowerSpec.generic(7, 3, [5, 11, 13, 37, 389, 5077]),
+    TowerSpec.generic(11, 2, [5, 7, 13, 17, 19, 23]),
+]
+
+
+class TestChangeOfModel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["11a1", "11a2", "11a3", "15a1", "37a1", "389a1", "5077a1", "cm432"]),
+           st.sampled_from([1, -1, 2, -3, 5, -6]), st.integers(-30, 30), st.integers(-30, 30),
+           st.integers(-30, 30), st.sampled_from(_MODEL_SPECS))
+    def test_qsets_kept(self, corpus, label, u, r, s, t, spec):
+        # a prime of u is a bad prime of the new model, where it is not
+        # minimal: u must miss p and the ramified primes, and be +-1 in a
+        # torsion tower, which classifies every bad prime
+        spec_primes = {spec.p, spec.ell, *spec.ramified_primes}
+        assume(spec.kind is not TowerKind.TORSION_FIELD or abs(u) == 1)
+        assume(not set(factorize(u)) & spec_primes)
+        E = corpus[label].curve
+        F = curve_from_ainvs(change_of_model(E.ainvs, u, r, s, t))
+        assert _qsets_or_error(F, spec) == _qsets_or_error(E, spec)
