@@ -134,16 +134,6 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def legendre_symbol(a: int, ell: int) -> int:
-    """Legendre symbol (a/ell) in {-1, 0, 1} for an odd prime ell, by Euler's
-    criterion."""
-    a = check_int(a, "Legendre symbol numerator") % check_prime(ell, "Legendre symbol modulus", 3)
-    if a == 0:
-        return 0
-    r = pow(a, (ell - 1) // 2, ell)
-    return 1 if r == 1 else -1
-
-
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite, odd, non-prime-power n (Brent's cycle
     finding).  Deterministic: increments are tried in a fixed order."""

@@ -86,6 +86,9 @@ def load_curve_file(path: str | Path) -> dict[str, CurveFileEntry]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ValueError(f"cannot read curve file {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read curve file {path}: not UTF-8 ({e.reason} "
+                         f"at byte {e.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

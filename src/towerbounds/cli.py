@@ -18,14 +18,15 @@ the command has succeeded, so a failure leaves stdout empty.  Each body
 imports the library modules it uses, so a call pays only for those;
 ``report`` is imported only for ``--json`` or a ``--tower`` argument.
 
-Exit codes: 0 success, 1 domain error (the error name goes to stderr),
-2 usage error.
+Exit codes: 0 success, 1 domain error (the error name goes to stderr) or a
+stdout pipe closed by its reader (nothing goes to stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DomainError
@@ -343,7 +344,13 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send the exit flush to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -245,48 +245,46 @@ def _order(Q, t_lo: int, t_hi: int, a: int, ell: int) -> int:
     repeat x(Q) first), so ord(Q) > j, and j Q = k Q would put O at step j - k;
     so j Q = -k Q, and j + k < 2 ord(Q).  An order r <= 2m + 1 repeats x at steps
     (r - 1) // 2 and r - (r - 1) // 2, so with no repeat ord(Q) > 2m + 1 and
-    y(j Q) != 0 for j <= m.  Giant steps t Q, t = t_lo + m + i (2m + 1), add
-    S = m Q + (m + 1) Q.  In the window t - m..t + m, t - j (t + j) is a multiple
-    of ord(Q) iff t Q = j Q (-j Q): x finds j, the stored y(j Q) the sign.  A
-    window holds at most one multiple and the windows tile [t_lo, t_hi], so
-    two hits differ by ord(Q); a lone hit is the only multiple, so for Q = k P,
-    k | #E and the range of #E / k, as _certified_trace passes them, it is
-    #E / k."""
+    y(j Q) != 0 for j <= m.  Giant steps t Q, t = (c + i) (2m + 1), add
+    S = m Q + (m + 1) Q from c S, c = max(1, ceil((t_lo - m) / (2m + 1))), so the
+    starting multiply is by about t_lo / (2m + 1), not t_lo.  In the window
+    t - m..t + m, t - j (t + j) is a multiple of ord(Q) iff t Q = j Q (-j Q): x
+    finds j, the stored y(j Q) the sign, and a window holds at most one
+    multiple.  The windows tile c (2m + 1) - m..t_hi and beyond; the first
+    starts at most 2m below t_lo, and hits below t_lo are dropped.  When c is
+    clamped to 1, [t_lo, m] is left out, and it holds no multiple, as
+    ord(Q) > 2m + 1.  So the hits kept are the multiples of ord(Q) from t_lo
+    up, in order: two hits differ by ord(Q); a lone hit is the only multiple
+    in [t_lo, t_hi], so for Q = k P, k | #E and the range of #E / k, as
+    _certified_trace passes them, it is #E / k."""
     if Q is None:
         return 1
     R = _add(Q, Q, a, ell)
     if R is None:
         return 2
     m = isqrt((t_hi - t_lo) // 2) + 1
-    (x1, y1), (x, y) = Q, R
-    baby, ys, P = {x1: 1}, [0, y1], Q
+    baby, ys, P = {Q[0]: 1}, [0, Q[1]], Q
     for j in range(2, m + 2):
-        k = baby.get(x)
+        k = baby.get(R[0])
         if k is not None:
             return j + k
         if j > m:
             break
-        baby[x], P = j, (x, y)
-        ys.append(y)
-        lam = (y - y1) * pow(x - x1, -1, ell) % ell
-        x = (lam * lam - x - x1) % ell
-        y = (lam * (x1 - x) - y1) % ell
-    S = sx, sy = _add(P, (x, y), a, ell)
-    G, hit = _mul(t_lo + m, Q, a, ell), None
-    for t in range(t_lo + m, t_hi + m + 1, 2 * m + 1):
+        baby[R[0]] = j
+        ys.append(R[1])
+        P, R = R, _add(R, Q, a, ell)
+    step = 2 * m + 1
+    c = max(1, -(-(t_lo - m) // step))
+    S = _add(P, R, a, ell)
+    G, hit = _mul(c, S, a, ell), None
+    for t in range(c * step, t_hi + m + 1, step):
         if G is None:
-            n, G = t, S
+            n = t
         else:
-            gx, gy = G
-            j = baby.get(gx)
-            n = None if j is None else t - j if gy == ys[j] else t + j
-            if gx == sx:
-                G = _add(G, S, a, ell)
-            else:
-                lam = (sy - gy) * pow(sx - gx, -1, ell) % ell
-                x = (lam * lam - gx - sx) % ell
-                G = x, (lam * (gx - x) - gy) % ell
-        if n is not None:
+            j = baby.get(G[0])
+            n = None if j is None else t - j if G[1] == ys[j] else t + j
+        G = _add(G, S, a, ell)
+        if n is not None and n >= t_lo:
             if hit is not None:
                 return n - hit
             hit = n
@@ -297,8 +295,9 @@ def _order(Q, t_lo: int, t_hi: int, a: int, ell: int) -> int:
 
 
 def _add(P, Q, a: int, ell: int):
-    """P + Q on y^2 = x^3 + a x + b over F_ell; None is the point at infinity,
-    which Q is only when P is (_mul doubling it)."""
+    """P + Q on y^2 = x^3 + a x + b over F_ell, the one chord-and-tangent
+    formula of the kernel; None is the point at infinity, which Q is only
+    when P is (_mul doubling it)."""
     if P is None:
         return Q
     x1, y1 = P

@@ -36,8 +36,6 @@ CASES = {
     "arith.sieve_primes limit": (arith.sieve_primes, 100, 2),
     "arith.padic_valuation n": (lambda v: arith.padic_valuation(v, 7), 49, None),
     "arith.padic_valuation p": (lambda v: arith.padic_valuation(49, v), 7, 2),
-    "arith.legendre_symbol a": (lambda v: arith.legendre_symbol(v, 7), 2, None),
-    "arith.legendre_symbol ell": (lambda v: arith.legendre_symbol(2, v), 7, 3),
     "arith.euler_phi n": (arith.euler_phi, 12, 1),
     "arith.is_prime n": (arith.is_prime, 7, None),
     "arith.factorize n": (arith.factorize, 12, None),

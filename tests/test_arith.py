@@ -15,7 +15,6 @@ from towerbounds.arith import (
     euler_phi,
     factorize,
     is_prime,
-    legendre_symbol,
     multiplicative_order,
     padic_valuation,
     sieve_primes,
@@ -128,30 +127,6 @@ class TestPadicValuation:
     def test_exact_power(self):
         for k in range(1, 20):
             assert padic_valuation(3**k, 3) == k
-
-
-class TestLegendreSymbol:
-    def test_against_square_table(self):
-        for ell in (5, 7, 11, 13, 97):
-            squares = {x * x % ell for x in range(1, ell)}
-            for a in range(1, ell):
-                expected = 1 if a in squares else -1
-                assert legendre_symbol(a, ell) == expected
-
-    def test_multiple_of_prime(self):
-        assert legendre_symbol(0, 7) == 0
-        assert legendre_symbol(21, 7) == 0
-
-    def test_negative_argument(self):
-        # -1 is a square mod ell iff ell % 4 == 1
-        assert legendre_symbol(-1, 13) == 1
-        assert legendre_symbol(-1, 7) == -1
-
-    def test_rejects_non_odd_prime(self):
-        with pytest.raises(ValueError):
-            legendre_symbol(3, 2)
-        with pytest.raises(ValueError):
-            legendre_symbol(3, 15)
 
 
 class TestFactorize:

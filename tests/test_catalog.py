@@ -90,10 +90,13 @@ class TestLoadCurveFile:
         with pytest.raises(DuplicateLabel):
             load_curve_file(f)
 
-    @pytest.mark.parametrize("name", ["absent.jsonl", "."])
+    @pytest.mark.parametrize("name", ["absent.jsonl", ".", "latin1.jsonl"])
     def test_unreadable_path_is_value_error(self, tmp_path, name):
-        # a missing file or a directory: the CLI reports it as a usage error
+        # a missing file, a directory or a file that is not UTF-8: the CLI
+        # reports it as a usage error
         path = tmp_path / name
+        if name == "latin1.jsonl":
+            path.write_bytes(b"\xff\n")
         with pytest.raises(ValueError, match=re.escape(f"cannot read curve file {path}: ")):
             load_curve_file(path)
 

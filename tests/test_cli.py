@@ -755,6 +755,32 @@ class TestCurveFileOption:
         assert "Traceback" not in out.stderr
 
 
+def test_closed_stdout_pipe_exits_1_quietly():
+    # the read end is closed before the child starts, so its write always
+    # meets a closed pipe
+    r, w = os.pipe()
+    os.close(r)
+    src = str(Path(towerbounds.__file__).resolve().parents[1])
+    try:
+        out = subprocess.run([sys.executable, "-m", "towerbounds", "count", "11a1", "--ell", "13",
+                              "--ext", "3"], stdout=w, stderr=subprocess.PIPE, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(w)
+    assert (out.returncode, out.stderr) == (1, b"")
+
+
+def test_closed_stdout_pipe_in_process(monkeypatch, capsys):
+    # the same exit in this process, where main's devnull swap lands on the pipe
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(["count", "11a1", "--ell", "13", "--ext", "3"])
+        monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (1, "")
+
+
 _POOL = {"concurrent.futures", "multiprocessing"}
 _DENSITY_BOUNDS = {"towerbounds.density", "towerbounds.bounds"} | _POOL
 

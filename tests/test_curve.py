@@ -426,14 +426,18 @@ class TestOrderSweep:
 
     def test_plus_minus_exits(self, orders):
         # _order's +- sweep: baby steps 1..m + 1 keyed by x, then windows
-        # t - m..t + m centred at t = t_lo + m + i (2m + 1)
+        # t - m..t + m centred at the multiples t of 2m + 1 from
+        # c (2m + 1), c = max(1, ceil((t_lo - m) / (2m + 1))), through the last
+        # t <= t_hi + m; hits below t_lo are dropped
         exits = set()
         for k in (1, 2, 3, 6):
             w = isqrt(4 * _ELL)
             t_lo, t_hi = -(-(_ELL + 1 - w) // k), (_ELL + 1 + w) // k
             m = isqrt((t_hi - t_lo) // 2) + 1
             step = 2 * m + 1
-            end = t_lo + ((t_hi - t_lo) // step + 1) * step
+            c = max(1, -(-(t_lo - m) // step))
+            assert c * step - m <= max(t_lo, m + 1)
+            end = (t_hi + m) // step * step + m
             for Q, r in orders:
                 if (_N // k) % r:
                     continue
@@ -445,10 +449,15 @@ class TestOrderSweep:
                     exits.add("y(jQ) = 0" if r % 2 == 0 else "x collision")
                     want = r
                 else:
-                    hits = [n for n in range(t_lo, end) if n % r == 0][:2]
+                    hits = [n for n in range(t_lo, end + 1) if n % r == 0][:2]
                     for n in hits:
-                        t = n - (n - t_lo) % step + m
-                        exits.add("t - j" if n < t else "t + j" if n > t else "G = O")
+                        t = (n + m) // step * step
+                        if n < t:
+                            exits.add("t - j")
+                        elif n > t:
+                            exits.add("t + j")
+                        else:
+                            exits.add("G = O")
                     exits.add("two hits" if len(hits) == 2 else "lone hit")
                     want = r if len(hits) == 2 else _N // k
                 assert curve_mod._order(Q, t_lo, t_hi, _A, _ELL) == want, (Q, k)
